@@ -135,7 +135,7 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
   AM_PROF_SCOPE("analysis.redundancy");
   RedundancyAnalysis A;
   A.Problem = std::make_unique<RedundancyProblem>(Pats);
-  A.Result = solve(G, *A.Problem, SolverKind::Worklist);
+  A.Result = solve(G, *A.Problem);
   return A;
 }
 
@@ -146,7 +146,7 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
   AM_PROF_SCOPE("analysis.redundancy");
   RedundancyAnalysis A;
   A.Problem = std::make_unique<RedundancyProblem>(Pats);
-  A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
+  A.Result = Solver.solve(G, *A.Problem, PatsGen);
   return A;
 }
 
@@ -214,7 +214,7 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
   HoistabilityAnalysis A;
   A.G = &G;
   A.Problem = std::make_unique<HoistabilityProblem>(Pats);
-  A.Result = solve(G, *A.Problem, SolverKind::Worklist);
+  A.Result = solve(G, *A.Problem);
   A.OwnedLocals = std::make_unique<HoistLocalPredicates>();
   A.OwnedLocals->refresh(G, Pats, /*PatsGen=*/0);
   A.Locals = A.OwnedLocals.get();
@@ -230,7 +230,7 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
   HoistabilityAnalysis A;
   A.G = &G;
   A.Problem = std::make_unique<HoistabilityProblem>(Pats);
-  A.Result = Solver.solve(G, *A.Problem, SolverKind::Worklist, PatsGen);
+  A.Result = Solver.solve(G, *A.Problem, PatsGen);
   Locals.refresh(G, Pats, PatsGen);
   A.Locals = &Locals;
   return A;
@@ -329,11 +329,11 @@ FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
   A.UsableProblem = std::make_unique<UsabilityProblem>(*A.UniversePtr);
   {
     AM_PROF_SCOPE("analysis.delayability");
-    A.Delay = solve(G, *A.DelayProblem, SolverKind::Worklist);
+    A.Delay = solve(G, *A.DelayProblem);
   }
   {
     AM_PROF_SCOPE("analysis.usability");
-    A.Usable = solve(G, *A.UsableProblem, SolverKind::Worklist);
+    A.Usable = solve(G, *A.UsableProblem);
   }
   return A;
 }

@@ -64,6 +64,9 @@ public:
   const BitVector &entry(BlockId B) const { return Result.entry(B); }
   const BitVector &exit(BlockId B) const { return Result.exit(B); }
 
+  /// The raw solution, for tests.
+  const DataflowResult &result() const { return Result; }
+
   /// Serial of the dataflow solve these facts came from (for remarks).
   uint64_t solveSerial() const { return Result.SolveSerial; }
 
@@ -151,6 +154,9 @@ public:
 
   /// X-INSERT: patterns to insert at the exit of \p B.
   BitVector exitInsert(BlockId B) const;
+
+  /// The raw solution, for tests.
+  const DataflowResult &result() const { return Result; }
 
   /// Serial of the dataflow solve these facts came from (for remarks).
   uint64_t solveSerial() const { return Result.SolveSerial; }

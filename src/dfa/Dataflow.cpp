@@ -7,12 +7,12 @@
 // The solver object carries three layers of reuse across solves:
 //
 //  1. composed block transfers, recomputed only for tick-dirty blocks
-//     (TransferCache);
+//     (the engine's MultiPatternTransfers);
 //  2. the previous converged solution: if the graph did not change at all,
 //     it is returned outright; if it changed locally, iteration restarts
 //     only over the dirty blocks' dependence closure;
-//  3. all fixpoint scratch (meet/transfer vectors, the worklist ring), so
-//     the steady-state inner loop performs no heap allocation.
+//  3. all fixpoint scratch (packed planes, the worklist rings), so the
+//     steady-state inner loop performs no heap allocation.
 //
 // Why the incremental restart is exact (not merely safe): let D be the
 // dirty blocks and A their closure under the dependence direction (succs
@@ -36,8 +36,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 using namespace am;
 
@@ -64,34 +62,6 @@ void am::setSolveObserver(void (*Fn)(const SolveInfo &, void *), void *Ctx) {
   ObserverCtx = Ctx;
 }
 
-namespace {
-/// -1 = no programmatic override; fall through to AM_SOLVER.
-std::atomic<int> LayoutOverride{-1};
-
-SolverLayout envLayout() {
-  static SolverLayout Cached = [] {
-    const char *Env = std::getenv("AM_SOLVER");
-    if (!Env)
-      return SolverLayout::Auto;
-    if (std::strcmp(Env, "scalar") == 0)
-      return SolverLayout::Scalar;
-    if (std::strcmp(Env, "transposed") == 0)
-      return SolverLayout::Transposed;
-    return SolverLayout::Auto;
-  }();
-  return Cached;
-}
-} // namespace
-
-SolverLayout am::solverLayout() {
-  int V = LayoutOverride.load(std::memory_order_relaxed);
-  return V < 0 ? envLayout() : static_cast<SolverLayout>(V);
-}
-
-void am::setSolverLayout(SolverLayout L) {
-  LayoutOverride.store(static_cast<int>(L), std::memory_order_relaxed);
-}
-
 DataflowSolver::DataflowSolver() = default;
 DataflowSolver::~DataflowSolver() = default;
 
@@ -99,9 +69,8 @@ void DataflowSolver::invalidate() {
   HaveSolution = false;
   SolG = nullptr;
   OrderG = nullptr;
-  Cache.invalidate();
   if (Engine)
-    Engine->hardInvalidate();
+    Engine->invalidate();
 }
 DataflowSolver::DataflowSolver(DataflowSolver &&) noexcept = default;
 DataflowSolver &DataflowSolver::operator=(DataflowSolver &&) noexcept = default;
@@ -112,7 +81,7 @@ bool DataflowSolver::solutionValid(const FlowGraph &G,
   return HaveSolution && SolG == &G && SolStructTick == G.structTick() &&
          SolGen == ProblemGen && SolBits == P.numBits() &&
          SolForward == (P.direction() == Direction::Forward) &&
-         SolMeetAll == (P.meet() == Meet::All) && In.size() == G.numBlocks();
+         SolMeetAll == (P.meet() == Meet::All);
 }
 
 void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
@@ -134,37 +103,30 @@ DataflowResult DataflowSolver::snapshot(const FlowGraph &G,
   DataflowResult R;
   R.G = &G;
   R.Problem = &P;
-  size_t NumBlocks = G.numBlocks();
-  R.Entry.resize(NumBlocks);
-  R.Exit.resize(NumBlocks);
-  for (BlockId B = 0; B < NumBlocks; ++B) {
-    R.Entry[B] = Forward ? In[B] : Out[B];
-    R.Exit[B] = Forward ? Out[B] : In[B];
-  }
+  // The engine's meet side is the block entry of a forward problem and
+  // the block exit of a backward one.
+  if (Forward)
+    Engine->exportSolution(Order, R.Entry, R.Exit);
+  else
+    Engine->exportSolution(Order, R.Exit, R.Entry);
   return R;
 }
 
 DataflowResult DataflowSolver::solve(const FlowGraph &G,
                                      const DataflowProblem &P,
-                                     SolverKind Kind, uint64_t ProblemGen) {
+                                     uint64_t ProblemGen) {
   size_t Bits = P.numBits();
   size_t NumBlocks = G.numBlocks();
   bool Forward = P.direction() == Direction::Forward;
   bool MeetAll = P.meet() == Meet::All;
 
   AM_STAT_COUNTER(NumSolves, "dfa.solves");
-  AM_STAT_COUNTER(NumSolvesRoundRobin, "dfa.solves.round_robin");
-  AM_STAT_COUNTER(NumSolvesWorklist, "dfa.solves.worklist");
   AM_STAT_COUNTER(NumSolvesCached, "dfa.solves.cached");
   AM_STAT_COUNTER(NumSolvesIncremental, "dfa.solves.incremental");
   AM_STAT_TIMER(SolveTimer, "dfa.solve_ns");
   AM_STAT_INC(NumSolves);
   uint64_t Serial =
       GlobalSolveSerial.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Kind == SolverKind::RoundRobin)
-    AM_STAT_INC(NumSolvesRoundRobin);
-  else
-    AM_STAT_INC(NumSolvesWorklist);
   AM_STAT_TIME_SCOPE(SolveTimer);
   AM_PROF_SCOPE("dfa.solve");
 
@@ -173,8 +135,13 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   Span.arg("blocks", NumBlocks);
   Span.arg("direction", Forward ? "forward" : "backward");
   Span.arg("meet", MeetAll ? "all" : "any");
-  Span.arg("solver", Kind == SolverKind::RoundRobin ? "round-robin"
-                                                    : "worklist");
+
+  SolveInfo Info;
+  Info.Serial = Serial;
+  Info.Bits = Bits;
+  Info.Blocks = NumBlocks;
+  Info.Forward = Forward;
+  Info.MeetAll = MeetAll;
 
   bool PrevValid = solutionValid(G, P, ProblemGen);
 
@@ -185,13 +152,7 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
     Span.arg("cached", 1);
     DataflowResult R = snapshot(G, P, Forward);
     R.SolveSerial = Serial;
-    SolveInfo Info;
-    Info.Serial = Serial;
-    Info.Bits = Bits;
-    Info.Blocks = NumBlocks;
     Info.P = SolveInfo::Path::Cached;
-    Info.Forward = Forward;
-    Info.MeetAll = MeetAll;
     notifyObserver(Info);
     return R;
   }
@@ -200,14 +161,11 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
 
   P.boundary(Boundary);
   assert(Boundary.size() == Bits && "boundary width mismatch");
-  BlockId BoundaryBlock = Forward ? G.start() : G.end();
 
-  uint64_t BlocksProcessed = 0, Sweeps = 0;
-  bool Incremental = false;
-
-  // Dirty blocks' closure under the dependence direction, shared by both
-  // substrates' incremental restarts.
-  auto ComputeDirtyClosure = [&]() {
+  // A changed graph with a still-valid previous solution restarts only
+  // over the dirty blocks' closure under the dependence direction.
+  bool Incremental = PrevValid;
+  if (Incremental) {
     DirtyScratch.clear();
     AffectedSet.clearAndResize(NumBlocks);
     for (BlockId B = 0; B < NumBlocks; ++B) {
@@ -226,158 +184,31 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
         }
       }
     }
-  };
-
-  // Substrate selection: never a function of the thread count (that
-  // would make work counters scheduling-dependent), only of the layout
-  // policy and the problem width.
-  bool UseTransposed = Kind == SolverKind::Worklist;
-  if (UseTransposed) {
-    switch (solverLayout()) {
-    case SolverLayout::Scalar:
-      UseTransposed = false;
-      break;
-    case SolverLayout::Transposed:
-      UseTransposed = Bits > 0;
-      break;
-    case SolverLayout::Auto:
-      UseTransposed = Bits > 64;
-      break;
-    }
-  }
-
-  if (UseTransposed) {
-    if (!Engine)
-      Engine = std::make_unique<TransposedEngine>();
-    Incremental = PrevValid && Engine->solutionValidFor(G, P, ProblemGen);
-    if (Incremental) {
-      ComputeDirtyClosure();
-      AM_STAT_INC(NumSolvesIncremental);
-      Span.arg("incremental", 1);
-      Span.arg("dirty_closure", DirtyScratch.size());
-    }
-    Span.arg("layout", "transposed");
-    Span.arg("slices", (Bits + 63) / 64);
-    TransposedEngine::SolveRequest Req;
-    Req.G = &G;
-    Req.P = &P;
-    Req.ProblemGen = ProblemGen;
-    Req.Order = &Order;
-    Req.OrderIndex = &OrderIndex;
-    Req.Forward = Forward;
-    Req.MeetAll = MeetAll;
-    Req.BoundaryBlock = BoundaryBlock;
-    Req.Boundary = &Boundary;
-    Req.Incremental = Incremental;
-    Req.Dirty = &DirtyScratch;
-    BlocksProcessed = Engine->solve(Req);
-    Engine->exportSolution(In, Out);
-  } else {
-  // A wide-vector solve leaves the engine's packed solution behind the
-  // mirrors below; drop it so a later transposed solve restarts full.
-  if (Engine)
-    Engine->invalidate();
-  Cache.refresh(G, P, ProblemGen);
-
-  Init.clearAndResize(Bits); // optimistic interior initialization
-  if (MeetAll)
-    Init.setAll();
-
-  // Recomputes block B; returns true if its Out side changed.  "In" is
-  // the meet side (block entry for forward, block exit for backward);
-  // "Out" the transferred side.
-  auto Process = [&](BlockId B) {
-    ++BlocksProcessed;
-    if (B == BoundaryBlock) {
-      NewIn = Boundary;
-    } else {
-      const auto &Edges = Forward ? G.block(B).Preds : G.block(B).Succs;
-      if (Edges.empty()) {
-        // Only the boundary block may lack incoming edges in a valid
-        // graph; be conservative for invalid inputs.
-        NewIn = Init;
-      } else {
-        // The meet input is always the neighbor's *transferred* side:
-        // its exit value for forward problems, its entry value for
-        // backward ones — both live in Out.
-        NewIn = Out[Edges[0]];
-        for (size_t EdgeIdx = 1; EdgeIdx < Edges.size(); ++EdgeIdx) {
-          if (MeetAll)
-            NewIn &= Out[Edges[EdgeIdx]];
-          else
-            NewIn |= Out[Edges[EdgeIdx]];
-        }
-      }
-    }
-    Cache.transfer(B).apply(NewIn, NewOut);
-    bool OutChanged = NewOut != Out[B];
-    bool AnyChanged = OutChanged || NewIn != In[B];
-    if (AnyChanged) {
-      In[B] = NewIn;
-      Out[B] = NewOut;
-    }
-    return OutChanged;
-  };
-
-  auto Drain = [&]() {
-    while (true) {
-      size_t Idx = Work.pop();
-      if (Idx == WorklistRing::npos)
-        break;
-      BlockId B = Order[Idx];
-      if (!Process(B))
-        continue;
-      const auto &Dependents = Forward ? G.block(B).Succs : G.block(B).Preds;
-      for (BlockId D : Dependents)
-        Work.push(OrderIndex[D]);
-    }
-  };
-
-  Incremental = Kind == SolverKind::Worklist && PrevValid;
-  if (Incremental) {
-    // Seed only the dirty blocks' dependence closure, reset to the
-    // optimistic value; everything outside keeps its converged value.
-    ComputeDirtyClosure();
     AM_STAT_INC(NumSolvesIncremental);
     Span.arg("incremental", 1);
     Span.arg("dirty_closure", DirtyScratch.size());
-    Work.reset(Order.size());
-    for (BlockId B : DirtyScratch) {
-      In[B] = Init;
-      Out[B] = Init;
-      Work.push(OrderIndex[B]);
-    }
-    Drain();
-  } else {
-    In.resize(NumBlocks);
-    Out.resize(NumBlocks);
-    for (BlockId B = 0; B < NumBlocks; ++B) {
-      In[B] = Init;
-      Out[B] = Init;
-    }
-    if (Kind == SolverKind::RoundRobin) {
-      // Stop after a sweep in which no transferred side changed: every
-      // meet side was recomputed from final neighbor values during that
-      // sweep, so the whole solution is consistent.
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        ++Sweeps;
-        for (BlockId B : Order)
-          Changed |= Process(B);
-      }
-    } else {
-      // Full worklist solve: seed every block once in iteration order,
-      // then only revisit the dependents of blocks whose transferred
-      // side changed — the classic near-optimal schedule for iterative
-      // bit-vector analyses (the paper's refs [13, 14]).
-      Work.reset(Order.size());
-      for (size_t Idx = 0; Idx < Order.size(); ++Idx)
-        Work.push(Idx);
-      Drain();
-    }
   }
-  } // scalar substrate
+  size_t LaneWidth = PackedLaneMatrix::widthFor(Bits);
+  Span.arg("slices", (Bits + 63) / 64);
+  Span.arg("lane_words", LaneWidth);
+
+  if (!Engine)
+    Engine = std::make_unique<TransposedEngine>();
+  TransposedEngine::SolveRequest Req;
+  Req.G = &G;
+  Req.P = &P;
+  Req.ProblemGen = ProblemGen;
+  Req.Order = &Order;
+  Req.OrderIndex = &OrderIndex;
+  Req.MeetAll = MeetAll;
+  Req.BoundaryBlock = Forward ? G.start() : G.end();
+  Req.Boundary = &Boundary;
+  Req.Incremental = Incremental;
+  Req.Dirty = &DirtyScratch;
+  // An engine solve that throws leaves its packed planes half-updated, so
+  // the previous solution is no longer a valid restart point.
+  HaveSolution = false;
+  uint64_t BlocksProcessed = Engine->solve(Req);
 
   SolG = &G;
   SolTick = G.modTick();
@@ -388,46 +219,31 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   SolMeetAll = MeetAll;
   HaveSolution = true;
 
-  // Every transfer evaluation touches the meet result, the transferred
-  // vector and both transfer masks, word by word: all (Bits+63)/64 words
-  // per wide-vector evaluation, one GroupWidth-word run per group
-  // evaluation on the transposed substrate.
-  uint64_t WordsPerEval = UseTransposed ? 4 * PackedLaneMatrix::GroupWidth
-                                        : 4 * ((Bits + 63) / 64);
-  AM_STAT_COUNTER(NumSweeps, "dfa.sweeps");
+  // Every group evaluation touches the meet result, the transferred words
+  // and both transfer masks: one lane-width run of words each.
+  uint64_t WordsTouched = BlocksProcessed * 4 * LaneWidth;
   AM_STAT_COUNTER(NumBlocksProcessed, "dfa.blocks_processed");
   AM_STAT_COUNTER(NumWordsTouched, "dfa.words_touched");
-  AM_STAT_ADD(NumSweeps, Sweeps);
   AM_STAT_ADD(NumBlocksProcessed, BlocksProcessed);
-  AM_STAT_ADD(NumWordsTouched, BlocksProcessed * WordsPerEval);
+  AM_STAT_ADD(NumWordsTouched, WordsTouched);
 
-  Span.arg("sweeps", Sweeps);
   Span.arg("blocks_processed", BlocksProcessed);
-  Span.arg("words_touched", BlocksProcessed * WordsPerEval);
+  Span.arg("words_touched", WordsTouched);
 
   DataflowResult R = snapshot(G, P, Forward);
-  R.Sweeps = Sweeps;
   R.BlocksProcessed = BlocksProcessed;
   R.SolveSerial = Serial;
 
-  SolveInfo Info;
-  Info.Serial = Serial;
-  Info.Bits = Bits;
-  Info.Blocks = NumBlocks;
-  Info.Sweeps = Sweeps;
   Info.BlocksProcessed = BlocksProcessed;
   Info.DirtyClosure = Incremental ? DirtyScratch.size() : 0;
   Info.P = Incremental ? SolveInfo::Path::Incremental : SolveInfo::Path::Full;
-  Info.Forward = Forward;
-  Info.MeetAll = MeetAll;
   notifyObserver(Info);
   return R;
 }
 
-DataflowResult am::solve(const FlowGraph &G, const DataflowProblem &P,
-                         SolverKind Kind) {
+DataflowResult am::solve(const FlowGraph &G, const DataflowProblem &P) {
   DataflowSolver Solver;
-  return Solver.solve(G, P, Kind);
+  return Solver.solve(G, P);
 }
 
 DataflowResult::InstrFacts DataflowResult::instrFacts(BlockId B) const {

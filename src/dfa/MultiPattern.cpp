@@ -18,9 +18,10 @@ using namespace am;
 namespace {
 
 /// Folds block \p B's per-instruction transfers into one composed
-/// gen/kill pair — the identical fold TransferCache::compose runs, so
-/// the packed transfers cannot drift from the wide-vector ones.
-/// \p At maps an instruction index to the instruction.
+/// gen/kill pair, in execution order (forward) or reverse execution
+/// order (backward): applying "later" transfer g to the composed f gives
+/// gen' = g.gen | (gen & ~g.kill), kill' = kill | g.kill.  \p At maps an
+/// instruction index to the instruction.
 template <typename InstrAt>
 void composeInto(const DataflowProblem &P, bool Forward, BlockId B,
                  size_t NumInstrs, InstrAt &&At, BitVector &GenAcc,
@@ -173,28 +174,9 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
 // TransposedEngine
 //===----------------------------------------------------------------------===//
 
-bool TransposedEngine::solutionValidFor(const FlowGraph &G,
-                                        const DataflowProblem &P,
-                                        uint64_t ProblemGen) const {
-  return HasSolution && SolG == &G && SolGen == ProblemGen &&
-         SolBits == P.numBits() && SolRows == G.numBlocks() &&
-         SolForward == (P.direction() == Direction::Forward) &&
-         SolMeetAll == (P.meet() == Meet::All);
-}
-
-uint64_t TransposedEngine::drainGroup(size_t Gr, const SolveRequest &R,
-                                      size_t NumPos, size_t BoundaryPos) {
-  // The meet-operator branch selects the template instantiation; the
-  // direction is already folded into the position-space edge lists.
-  if (R.MeetAll)
-    return drainGroupImpl<true>(Gr, R, NumPos, BoundaryPos);
-  return drainGroupImpl<false>(Gr, R, NumPos, BoundaryPos);
-}
-
-template <bool MeetAll>
+template <bool MeetAll, size_t GW>
 uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
                                           size_t NumPos, size_t BoundaryPos) {
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
   const uint32_t *MeetOff = Transfers.meetOff();
   const uint32_t *MeetPos = Transfers.meetPos();
   const uint32_t *DepOff = Transfers.depOff();
@@ -310,11 +292,10 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     LaneM.reshape(NumPos + 1, Bits);
     OutM.reshape(NumPos + 1, Bits);
     InM.reshape(NumPos + 1, Bits);
-    HasSolution = false;
   }
   Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
 
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
+  const size_t GW = LaneM.width();
   size_t NumGroups = LaneM.groups();
   if (GroupWork.size() < NumGroups)
     GroupWork.resize(NumGroups);
@@ -340,7 +321,7 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     AM_PROF_SCOPE("dfa.solve.slice");
     uint64_t *InP = InM.groupRow(Gr);
     uint64_t *Out = OutM.groupRow(Gr);
-    uint64_t InitW[GW];
+    uint64_t InitW[PackedLaneMatrix::GroupWidth];
     for (size_t W = 0; W < GW; ++W)
       InitW[W] = R.MeetAll ? LaneM.sliceMask(Gr * GW + W) : 0;
     WorklistRing &WL = GroupWork[Gr];
@@ -357,18 +338,28 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
         WL.push(Pos);
       }
     } else {
-      // No seeding pushes: drainGroup runs the first cycle as a straight
-      // sweep over the iteration order and only the back-edge requeues
-      // enter the ring.  Row NumPos is the dummy, pinned at the initial
-      // value so meets from unreachable neighbors read the same words
-      // the wide solver would.
+      // No seeding pushes: drainGroupImpl runs the first cycle as a
+      // straight sweep over the iteration order and only the back-edge
+      // requeues enter the ring.  Row NumPos is the dummy, pinned at the
+      // initial value so meets from unreachable neighbors read the
+      // optimistic value a never-evaluated block holds.
       for (size_t Row = 0; Row <= NumPos; ++Row)
         for (size_t W = 0; W < GW; ++W) {
           InP[Row * GW + W] = InitW[W];
           Out[Row * GW + W] = InitW[W];
         }
     }
-    Processed[Gr] = drainGroup(Gr, R, NumPos, BoundaryPos);
+    // The meet operator and the lane width select the instantiation; the
+    // direction is already folded into the position-space edge lists.
+    constexpr size_t Wide = PackedLaneMatrix::GroupWidth;
+    if (GW == 1 && R.MeetAll)
+      Processed[Gr] = drainGroupImpl<true, 1>(Gr, R, NumPos, BoundaryPos);
+    else if (GW == 1)
+      Processed[Gr] = drainGroupImpl<false, 1>(Gr, R, NumPos, BoundaryPos);
+    else if (R.MeetAll)
+      Processed[Gr] = drainGroupImpl<true, Wide>(Gr, R, NumPos, BoundaryPos);
+    else
+      Processed[Gr] = drainGroupImpl<false, Wide>(Gr, R, NumPos, BoundaryPos);
   };
 
   threads::ThreadPool &Pool = threads::pool();
@@ -382,14 +373,9 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr)
       SessionProf.merge(*GroupProfs[Gr]);
 
-  SolG = &G;
-  SolGen = R.ProblemGen;
   SolBits = Bits;
   SolRows = NumBlocks;
-  SolOrder = R.Order;
-  SolForward = R.Forward;
   SolMeetAll = R.MeetAll;
-  HasSolution = true;
 
   uint64_t Total = 0;
   for (uint64_t C : Processed)
@@ -397,9 +383,9 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   return Total;
 }
 
-void TransposedEngine::exportSolution(std::vector<BitVector> &In,
+void TransposedEngine::exportSolution(const std::vector<BlockId> &Order,
+                                      std::vector<BitVector> &In,
                                       std::vector<BitVector> &Out) const {
-  const std::vector<BlockId> &Order = *SolOrder;
   size_t NumPos = Order.size();
   In.resize(SolRows);
   Out.resize(SolRows);
@@ -411,7 +397,7 @@ void TransposedEngine::exportSolution(std::vector<BitVector> &In,
   }
   if (NumPos != SolRows) {
     // Unreachable blocks have no packed row: they keep the optimistic
-    // initial value, exactly as the wide solver leaves them.
+    // initial value.
     BitVector Init;
     Init.clearAndResize(SolBits);
     if (SolMeetAll)
@@ -431,7 +417,7 @@ void TransposedEngine::exportSolution(std::vector<BitVector> &In,
   // contiguous lane triples per group — resident while every group
   // visits them.  Row I belongs to block Order[I]; with the order close
   // to layout order the scattered side stays nearly sequential too.
-  constexpr size_t GW = PackedLaneMatrix::GroupWidth;
+  const size_t GW = LaneM.width();
   const size_t Tile = 64;
   const size_t NumSlices = LaneM.slices();
   const size_t NumGroups = LaneM.groups();

@@ -5,37 +5,38 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The transposed ("bit-slice") substrate for the per-pattern dataflow
-/// problems of Tables 1-3.  The paper's problems are independent per
-/// pattern; the wide-vector solver already packs 64 of them per machine
-/// word, but it converges them *together*: one slow pattern keeps every
-/// word of every block in the sweep.  Here the width is partitioned into
-/// word slices — patterns [64k, 64k+63] form slice k — grouped
-/// GroupWidth slices at a time, and each group runs its own worklist
-/// fixpoint:
+/// The dataflow engine behind every DataflowSolver::solve: a transposed
+/// ("bit-slice") worklist fixpoint.  The paper's problems (Tables 1-3)
+/// are independent per pattern, so the width is partitioned into word
+/// slices — patterns [64k, 64k+63] form slice k — grouped lane-width
+/// slices at a time, and each group runs its own worklist fixpoint:
 ///
-///   X[B] = gen[B] | (N[B] & ~kill[B])     (GroupWidth uint64_t each)
+///   X[B] = gen[B] | (N[B] & ~kill[B])     (lane-width uint64_t each)
 ///
 /// over a flat, arena-backed interleaved lane array per group
 /// (PackedLaneMatrix).  Groups share nothing but read-only inputs, so
 /// they drain concurrently on the support/ThreadPool — and even on one
 /// thread the early-converging groups stop being reswept, while the
 /// per-evaluation control cost (worklist, edge walks) is amortized over
-/// GroupWidth words.  That combination is where the serial win over the
-/// wide-vector path comes from.
+/// the lane width.
 ///
-/// Determinism contract: the per-group fixpoints are exact (same
-/// greatest/least solution as the wide solver), each group's schedule is
-/// sequential within its task, groups write disjoint arrays, and all
-/// counters are per-group sums — so results *and* machine-independent
-/// counters are identical for any worker count.
+/// The lane width is fitted to the problem, never configured: one word
+/// when the whole problem fits one 64-bit slice (liveness, copy
+/// propagation and most small programs' pattern universes), GroupWidth
+/// words otherwise — a narrow problem evaluated on 16-word lanes would
+/// touch fifteen dead words per evaluation.
+///
+/// Determinism contract: the per-group fixpoints are exact (the unique
+/// greatest/least solution), each group's schedule is sequential within
+/// its task, groups write disjoint arrays, and all counters are
+/// per-group sums — so results *and* machine-independent counters are
+/// identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AM_DFA_MULTIPATTERN_H
 #define AM_DFA_MULTIPATTERN_H
 
-#include "dfa/SolverCache.h"
 #include "ir/FlatProgram.h"
 #include "ir/FlowGraph.h"
 #include "support/Arena.h"
@@ -48,110 +49,105 @@ namespace am {
 
 class DataflowProblem;
 
-/// Struct-of-arrays bit matrix: NumBits columns over NumRows rows,
-/// stored slice-major — slice k is a contiguous uint64_t[NumRows] run
-/// holding bit k*64..k*64+63 of every row.  One arena allocation backs
-/// the whole matrix; rows are plain offsets, so a slice fixpoint touches
-/// a dense array with no per-row indirection.
-class PackedBitMatrix {
+/// A flat, index-ordered bucket ring over a solver iteration order of
+/// size N: order indices are pushed in any order and popped ascending
+/// from a cursor, wrapping around — the classic round-based schedule for
+/// iterative bit-vector analyses, with no heap in push or pop.
+class WorklistRing {
 public:
-  size_t rows() const { return NumRows; }
-  size_t bits() const { return NumBits; }
-  size_t slices() const { return NumSlices; }
+  static constexpr size_t npos = static_cast<size_t>(-1);
 
-  /// Resizes to \p Rows x \p Bits and zero-fills.  One bump allocation;
-  /// previous contents are dropped.
-  void reshape(size_t Rows, size_t Bits) {
-    NumRows = Rows;
-    NumBits = Bits;
-    NumSlices = (Bits + 63) / 64;
-    Mem.reset();
-    size_t Total = NumRows * NumSlices;
-    Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
-    for (size_t I = 0; I < Total; ++I)
-      Data[I] = 0;
+  /// Empties the ring and sizes it for order indices in [0, N).
+  void reset(size_t N) {
+    Pending.clearAndResize(N);
+    Cursor = 0;
+    Count = 0;
   }
 
-  uint64_t *sliceRow(size_t S) { return Data + S * NumRows; }
-  const uint64_t *sliceRow(size_t S) const { return Data + S * NumRows; }
-
-  /// Mask of the valid (in-width) bits of slice \p S: all-ones except
-  /// for the partial final slice of a non-multiple-of-64 width.
-  uint64_t sliceMask(size_t S) const {
-    size_t Rem = NumBits % 64;
-    if (S + 1 == NumSlices && Rem != 0)
-      return (uint64_t(1) << Rem) - 1;
-    return ~uint64_t(0);
+  void push(size_t OrderIdx) {
+    if (!Pending.test(OrderIdx)) {
+      Pending.set(OrderIdx);
+      ++Count;
+    }
   }
 
-  /// Scatters \p V (width bits()) across the slices of row \p Row.
-  void setRow(size_t Row, const BitVector &V) {
-    for (size_t S = 0; S < NumSlices; ++S)
-      Data[S * NumRows + Row] = V.word(S);
+  /// Pops the next pending index at or after the cursor, wrapping to the
+  /// lowest pending index when the scan runs off the end.  npos if empty.
+  size_t pop() {
+    if (Count == 0)
+      return npos;
+    size_t Idx = Pending.findNext(Cursor);
+    if (Idx == Pending.size())
+      Idx = Pending.findFirst();
+    Pending.reset(Idx);
+    --Count;
+    Cursor = Idx + 1;
+    return Idx;
   }
 
-  /// Gathers row \p Row into \p Out (resized to bits()).
-  void readRow(size_t Row, BitVector &Out) const {
-    if (Out.size() != NumBits)
-      Out.clearAndResize(NumBits);
-    for (size_t S = 0; S < NumSlices; ++S)
-      Out.setWord(S, Data[S * NumRows + Row]);
-  }
+  bool empty() const { return Count == 0; }
+  size_t size() const { return Count; }
 
 private:
-  support::Arena Mem;
-  uint64_t *Data = nullptr;
-  size_t NumRows = 0;
-  size_t NumBits = 0;
-  size_t NumSlices = 0;
+  BitVector Pending;
+  size_t Cursor = 0;
+  size_t Count = 0;
 };
 
 /// The transfer side of the solve-loop working set, interleaved and
-/// grouped: slices come in groups of GroupWidth, and per (group, row)
-/// the matrix stores one contiguous {gen[GroupWidth], kill[GroupWidth]}
-/// lane pair.  One transfer evaluation reads both masks from a single
-/// 64-byte lane — with the separate-matrix layout they live megabytes
-/// apart and a large solve becomes latency-bound on independent
-/// streams.  The group width trades the two overheads against each
+/// grouped: slices come in groups of width() words, and per (group, row)
+/// the matrix stores one contiguous {gen[width()], kill[width()]} lane
+/// pair.  One transfer evaluation reads both masks from a single lane —
+/// with separate gen and kill matrices they live megabytes apart and a
+/// large solve becomes latency-bound on independent streams.  On wide
+/// problems the group width trades the two overheads against each
 /// other: wider groups amortize the per-evaluation control cost
 /// (worklist, edge lists, branches) over more words, narrower groups
 /// converge and stop resweeping independently sooner.
 ///
 /// The out words the meet side gathers are deliberately NOT in here:
-/// they live in their own dense plane (PackedGroupPlane) of GroupWidth
+/// they live in their own dense plane (PackedGroupPlane) of width()
 /// words per row, so a group's whole meet-visible state spans
-/// rows() * GroupWidth * 8 bytes — small enough to stay cache-resident
+/// rows() * width() * 8 bytes — small enough to stay cache-resident
 /// while the much larger gen/kill pairs stream past once per sweep.
 class PackedLaneMatrix {
 public:
-  /// Word slices per group; 16 * 64 = 1024 patterns advance per evaluation.
+  /// Word slices per group of a wide problem; 16 * 64 = 1024 patterns
+  /// advance per evaluation.
   static constexpr size_t GroupWidth = 16;
+
+  /// The lane width of a \p Bits-wide problem: 1 word when it fits one
+  /// slice, GroupWidth otherwise.  The engine instantiates its fixpoint
+  /// for exactly these two widths.
+  static constexpr size_t widthFor(size_t Bits) {
+    return Bits <= 64 ? 1 : GroupWidth;
+  }
 
   size_t rows() const { return NumRows; }
   size_t bits() const { return NumBits; }
   size_t slices() const { return NumSlices; }
   size_t groups() const { return NumGroups; }
+  size_t width() const { return Width; }
 
   /// Resizes to \p Rows x \p Bits and zero-fills all lanes.
   void reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
     NumBits = Bits;
     NumSlices = (Bits + 63) / 64;
-    NumGroups = (NumSlices + GroupWidth - 1) / GroupWidth;
+    Width = widthFor(Bits);
+    NumGroups = (NumSlices + Width - 1) / Width;
     Mem.reset();
-    size_t Total = NumRows * NumGroups * 2 * GroupWidth;
+    size_t Total = NumRows * NumGroups * 2 * Width;
     Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
     for (size_t I = 0; I < Total; ++I)
       Data[I] = 0;
   }
 
   /// The lane array of group \p Gr: row B's pair starts at index
-  /// B * 2 * GroupWidth, laid out gen words, then kill words.
-  uint64_t *groupLanes(size_t Gr) {
-    return Data + Gr * NumRows * 2 * GroupWidth;
-  }
+  /// B * 2 * width(), laid out gen words, then kill words.
+  uint64_t *groupLanes(size_t Gr) { return Data + Gr * NumRows * 2 * Width; }
   const uint64_t *groupLanes(size_t Gr) const {
-    return Data + Gr * NumRows * 2 * GroupWidth;
+    return Data + Gr * NumRows * 2 * Width;
   }
 
   /// Mask of the valid (in-width) bits of slice \p S; zero for the dead
@@ -169,14 +165,7 @@ public:
   /// and kill lanes.  Dead tail words of a partial final group stay zero
   /// (the identity transfer).
   void setTransfer(size_t Row, const BitVector &Gen, const BitVector &Kill) {
-    for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      uint64_t *L = groupLanes(Gr) + Row * 2 * GroupWidth;
-      for (size_t W = 0; W < GroupWidth; ++W) {
-        size_t S = Gr * GroupWidth + W;
-        L[W] = S < NumSlices ? Gen.word(S) : 0;
-        L[GroupWidth + W] = S < NumSlices ? Kill.word(S) : 0;
-      }
-    }
+    setTransferTile(Row, 1, &Gen, &Kill);
   }
 
   /// Tile flush: writes \p N consecutive rows starting at \p Row0 from
@@ -189,13 +178,13 @@ public:
   void setTransferTile(size_t Row0, size_t N, const BitVector *Gen,
                        const BitVector *Kill) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      uint64_t *Base = groupLanes(Gr) + Row0 * 2 * GroupWidth;
+      uint64_t *Base = groupLanes(Gr) + Row0 * 2 * Width;
       for (size_t R = 0; R < N; ++R) {
-        uint64_t *L = Base + R * 2 * GroupWidth;
-        for (size_t W = 0; W < GroupWidth; ++W) {
-          size_t S = Gr * GroupWidth + W;
+        uint64_t *L = Base + R * 2 * Width;
+        for (size_t W = 0; W < Width; ++W) {
+          size_t S = Gr * Width + W;
           L[W] = S < NumSlices ? Gen[R].word(S) : 0;
-          L[GroupWidth + W] = S < NumSlices ? Kill[R].word(S) : 0;
+          L[Width + W] = S < NumSlices ? Kill[R].word(S) : 0;
         }
       }
     }
@@ -208,31 +197,30 @@ private:
   size_t NumBits = 0;
   size_t NumSlices = 0;
   size_t NumGroups = 0;
+  size_t Width = 1;
 };
 
 /// A group-major plane companion to PackedLaneMatrix: per (group, row)
-/// GroupWidth contiguous words.  The engine keeps two — the dense out
-/// plane the meet side gathers from, and the in plane written once per
-/// evaluation and read back only by exportSolution.
+/// one lane width of contiguous words.  The engine keeps two — the dense
+/// out plane the meet side gathers from, and the in plane written once
+/// per evaluation and read back only by exportSolution.
 class PackedGroupPlane {
 public:
-  static constexpr size_t GroupWidth = PackedLaneMatrix::GroupWidth;
-
   void reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
+    Width = PackedLaneMatrix::widthFor(Bits);
     size_t NumSlices = (Bits + 63) / 64;
-    NumGroups = (NumSlices + GroupWidth - 1) / GroupWidth;
+    NumGroups = (NumSlices + Width - 1) / Width;
     Mem.reset();
-    size_t Total = NumRows * NumGroups * GroupWidth;
+    size_t Total = NumRows * NumGroups * Width;
     Data = Total ? Mem.allocate<uint64_t>(Total) : nullptr;
     for (size_t I = 0; I < Total; ++I)
       Data[I] = 0;
   }
 
-  size_t rows() const { return NumRows; }
-  uint64_t *groupRow(size_t Gr) { return Data + Gr * NumRows * GroupWidth; }
+  uint64_t *groupRow(size_t Gr) { return Data + Gr * NumRows * Width; }
   const uint64_t *groupRow(size_t Gr) const {
-    return Data + Gr * NumRows * GroupWidth;
+    return Data + Gr * NumRows * Width;
   }
 
 private:
@@ -240,15 +228,16 @@ private:
   uint64_t *Data = nullptr;
   size_t NumRows = 0;
   size_t NumGroups = 0;
+  size_t Width = 1;
 };
 
-/// The transposed analog of TransferCache: composed per-block gen/kill
-/// transfers stored as packed matrices, refreshed tick-incrementally.
-/// A full rebuild walks an arena-backed FlatProgram snapshot (one linear
-/// pass over the whole instruction stream, parallelized over block
-/// ranges); an incremental refresh recomposes only tick-dirty blocks.
-/// Composition goes through the problem's own gen/kill, so the packed
-/// transfers agree bit-for-bit with the wide-vector path.
+/// Composed per-block gen/kill transfers stored as packed lanes,
+/// refreshed tick-incrementally.  A full rebuild walks an arena-backed
+/// FlatProgram snapshot (one linear pass over the whole instruction
+/// stream, parallelized over block ranges); an incremental refresh
+/// recomposes only tick-dirty blocks (`dfa.transfers_recomputed` counts
+/// recompositions, so a cache-friendly fixpoint shows it far below
+/// `dfa.blocks_processed`).
 class MultiPatternTransfers {
 public:
   /// Brings the gen/kill lanes of \p Lanes (the engine's interleaved
@@ -261,8 +250,8 @@ public:
   /// Order[I] owns row I, so the solver's seed sweep walks the lane
   /// array strictly sequentially.  Unreachable blocks (absent from the
   /// order) share the dummy row Order.size(), whose transfer stays the
-  /// identity and whose out word stays the initial value — exactly what
-  /// the wide solver reads from a never-evaluated neighbor.  A full
+  /// identity and whose out word stays the optimistic initial value —
+  /// the value a never-evaluated neighbor holds.  A full
   /// rebuild also retargets the CSR edge lists into position space
   /// (meetOff/meetPos, depOff/depPos), which is valid as long as the
   /// order is — both are functions of the graph structure and the
@@ -271,9 +260,6 @@ public:
                uint64_t ProblemGen, PackedLaneMatrix &Lanes,
                const std::vector<BlockId> &Order,
                const std::vector<size_t> &OrderIndex);
-
-  /// The flat snapshot backing the last refresh.
-  const FlatProgram &flat() const { return Flat; }
 
   /// Forgets the cached graph identity (next refresh is a full rebuild)
   /// — required before binding to a different graph, whose address and
@@ -305,10 +291,10 @@ private:
   BitVector GenAcc, KillAcc, GenScratch, KillScratch;
 };
 
-/// The per-solver transposed engine: packed transfers, the packed
-/// previous solution, and one worklist ring per slice group.
-/// DataflowSolver owns one and routes worklist solves here when the
-/// transposed layout is selected (see solverLayout() in dfa/Dataflow.h).
+/// The per-solver engine: packed transfers, the packed previous
+/// solution, and one worklist ring per slice group.  DataflowSolver owns
+/// one and runs every non-cached solve on it; the solver also decides
+/// whether the packed previous solution may seed an incremental solve.
 class TransposedEngine {
 public:
   struct SolveRequest {
@@ -317,46 +303,34 @@ public:
     uint64_t ProblemGen = 0;
     const std::vector<BlockId> *Order = nullptr;
     const std::vector<size_t> *OrderIndex = nullptr;
-    bool Forward = true;
     bool MeetAll = true;
     BlockId BoundaryBlock = 0;
     const BitVector *Boundary = nullptr;
     /// When set, seed only the blocks in *Dirty (already closed under
-    /// the dependence direction); the packed previous solution must be
-    /// valid (solutionValidFor).
+    /// the dependence direction); the engine's previous solve must have
+    /// converged on the same graph structure and problem identity.
     bool Incremental = false;
     const std::vector<BlockId> *Dirty = nullptr;
   };
 
-  /// True if the engine still holds the converged packed solution for
-  /// this identity — the precondition for an incremental request.
-  bool solutionValidFor(const FlowGraph &G, const DataflowProblem &P,
-                        uint64_t ProblemGen) const;
-
   /// Runs the grouped fixpoint (transfers are refreshed internally);
   /// returns the number of group-block transfer evaluations (each one
-  /// advances GroupWidth words of every pattern in the group).
+  /// advances one lane width of words of every pattern in the group).
   uint64_t solve(const SolveRequest &R);
 
   /// Copies the converged packed solution into wide per-block vectors
   /// (meet side → In, transferred side → Out), resizing as needed.
-  void exportSolution(std::vector<BitVector> &In,
+  /// \p Order must be the iteration order of the last solve.
+  void exportSolution(const std::vector<BlockId> &Order,
+                      std::vector<BitVector> &In,
                       std::vector<BitVector> &Out) const;
 
-  /// Drops the packed solution (the next solve must be full).
-  void invalidate() { HasSolution = false; }
-
-  /// invalidate() plus the packed transfers' graph identity — the
-  /// cross-graph reset (see DataflowSolver::invalidate).
-  void hardInvalidate() {
-    HasSolution = false;
-    Transfers.invalidate();
-  }
+  /// Forgets the packed transfers' graph identity — the cross-graph
+  /// reset (see DataflowSolver::invalidate).
+  void invalidate() { Transfers.invalidate(); }
 
 private:
-  uint64_t drainGroup(size_t Gr, const SolveRequest &R, size_t NumPos,
-                      size_t BoundaryPos);
-  template <bool MeetAll>
+  template <bool MeetAll, size_t Width>
   uint64_t drainGroupImpl(size_t Gr, const SolveRequest &R, size_t NumPos,
                           size_t BoundaryPos);
 
@@ -366,7 +340,7 @@ private:
   /// block dummy.
   PackedLaneMatrix LaneM;
   /// The transferred side — the words the meet gathers read.  Dense (one
-  /// GroupWidth run per row) so a group's whole meet-visible state stays
+  /// lane-width run per row) so a group's whole meet-visible state stays
   /// cache-resident across the fixpoint.
   PackedGroupPlane OutM;
   /// The meet side, written once per evaluation and read back only by
@@ -374,16 +348,9 @@ private:
   PackedGroupPlane InM;
   std::vector<WorklistRing> GroupWork;
 
-  bool HasSolution = false;
-  const FlowGraph *SolG = nullptr;
-  uint64_t SolGen = 0;
+  // Shape of the last solve, for exportSolution.
   size_t SolBits = 0;
   size_t SolRows = 0; ///< Block-space row count (the export size).
-  /// The iteration order the packed rows are keyed by.  Borrowed from the
-  /// solver's SolveRequest; the solver keeps it alive and stable until
-  /// the structure changes, which also invalidates this solution.
-  const std::vector<BlockId> *SolOrder = nullptr;
-  bool SolForward = true;
   bool SolMeetAll = true;
 };
 

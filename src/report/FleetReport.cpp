@@ -393,7 +393,7 @@ std::string report::renderFleetDashboard(const EventLogFile &Log,
     Out += "<div class=\"card\"><table><tr><th>program</th><th>preset</th>"
            "<th>status</th><th class=\"num\">wall</th>"
            "<th class=\"num\">rollbacks</th><th class=\"num\">instrs</th>"
-           "<th class=\"num\">dfa sweeps</th></tr>";
+           "<th class=\"num\">dfa blocks</th></tr>";
     for (const JobEvent *E : Rows) {
       Out += "<tr><td>";
       html::appendEscaped(Out, E->Name);
@@ -411,7 +411,8 @@ std::string report::renderFleetDashboard(const EventLogFile &Log,
       Out += "<td class=\"num\">" + std::to_string(E->InstrsBefore) +
              " → " + std::to_string(E->InstrsAfter) + "</td>";
       Out += "<td class=\"num\">" +
-             std::to_string(counterOf(*E, "dfa.sweeps")) + "</td></tr>";
+             std::to_string(counterOf(*E, "dfa.blocks_processed")) +
+             "</td></tr>";
     }
     Out += "</table></div>";
   };

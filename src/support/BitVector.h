@@ -80,8 +80,8 @@ public:
   //===--------------------------------------------------------------------===//
   // Word-granular access — the transposed ("bit-slice") solver views a
   // vector of patterns as its sequence of 64-pattern machine words, so it
-  // can gather word columns across many vectors into a PackedBitMatrix
-  // and scatter solved columns back.  The unused-high-bits-are-zero
+  // can scatter word columns of many vectors into its packed lanes and
+  // gather solved columns back.  The unused-high-bits-are-zero
   // invariant is maintained by setWord; readers may rely on it.
   //===--------------------------------------------------------------------===//
 

@@ -141,7 +141,7 @@ fleet::JobEvent makeEvent(uint64_t I) {
   E.InstrsAfter = 90 + 7 * I;
   E.Phases.emplace_back("pipeline", 500 * (I + 1));
   E.Counters.emplace_back("am.rounds", 2 + I % 3);
-  E.Counters.emplace_back("dfa.sweeps", 40 + 13 * I);
+  E.Counters.emplace_back("dfa.blocks_processed", 40 + 13 * I);
   if (I % 2)
     E.Counters.emplace_back("pipeline.rollbacks", 1);
   E.RemarkKinds.emplace_back("hoist", 3 + I);
@@ -254,12 +254,12 @@ TEST(Aggregate, StatsAndSynthesizedMetrics) {
   EXPECT_EQ(Agg.statuses().at("rolled_back"), 1u);
   EXPECT_EQ(Agg.remarkKinds().at("hoist"), 3 + 4 + 5 + 6u);
 
-  const fleet::MetricAgg &Sweeps = Agg.counters().at("dfa.sweeps");
-  EXPECT_EQ(Sweeps.Jobs, 4u);
-  EXPECT_EQ(Sweeps.Sum, 40u + 53 + 66 + 79);
-  EXPECT_EQ(Sweeps.Min, 40u);
-  EXPECT_EQ(Sweeps.Max, 79u);
-  EXPECT_DOUBLE_EQ(Sweeps.mean(), (40.0 + 53 + 66 + 79) / 4);
+  const fleet::MetricAgg &Blocks = Agg.counters().at("dfa.blocks_processed");
+  EXPECT_EQ(Blocks.Jobs, 4u);
+  EXPECT_EQ(Blocks.Sum, 40u + 53 + 66 + 79);
+  EXPECT_EQ(Blocks.Min, 40u);
+  EXPECT_EQ(Blocks.Max, 79u);
+  EXPECT_DOUBLE_EQ(Blocks.mean(), (40.0 + 53 + 66 + 79) / 4);
 
   // pipeline.rollbacks only appears in odd jobs; Jobs tracks reporters.
   EXPECT_EQ(Agg.counters().at("pipeline.rollbacks").Jobs, 2u);
@@ -311,7 +311,7 @@ TEST(EventLog, RoundTrip) {
   EXPECT_EQ(E.Phases[0].first, "pipeline");
   EXPECT_EQ(E.Phases[0].second, 1500u);
   ASSERT_EQ(E.Counters.size(), 2u);
-  EXPECT_EQ(E.Counters[1].first, "dfa.sweeps");
+  EXPECT_EQ(E.Counters[1].first, "dfa.blocks_processed");
   EXPECT_EQ(E.Counters[1].second, 66u);
   EXPECT_EQ(File.Events[1].Error, "parse error: line 3: unexpected '}'");
 }

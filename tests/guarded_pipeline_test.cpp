@@ -70,7 +70,7 @@ TEST(Diag, ParseLimitsSpec) {
   ASSERT_TRUE(L.ok());
   EXPECT_EQ(L->MaxAmRounds, 8u);
   EXPECT_DOUBLE_EQ(L->MaxInstrGrowth, 2.5);
-  EXPECT_EQ(L->MaxSolverSweeps, 100000u);
+  EXPECT_EQ(L->MaxBlockEvals, 100000u);
   EXPECT_DOUBLE_EQ(L->MaxWallMs, 50.0);
   EXPECT_TRUE(L->any());
 
@@ -280,6 +280,26 @@ TEST(PipelineLimitsTest, WallClockBudgetStopsTheRun) {
   EXPECT_TRUE(R.LimitsExhausted);
   // The run stopped after the first pass; the rest never executed.
   EXPECT_LT(R.Records.size(), 3u);
+}
+
+TEST(PipelineLimitsTest, SolverBudgetStopsUniform) {
+  // `sweeps` counts dataflow block evaluations; one evaluation is far
+  // below what uniform needs on the running example.
+  auto Limits = parseLimitsSpec("sweeps=1");
+  ASSERT_TRUE(Limits.ok());
+  PipelineOptions Opts;
+  Opts.Limits = *Limits;
+  FlowGraph Input = figure4();
+  const std::string Before = printGraph(Input);
+  PipelineResult R = runPipeline(Input, "uniform", Opts);
+  EXPECT_FALSE(R.ok());
+  EXPECT_TRUE(R.LimitsExhausted);
+  ASSERT_FALSE(R.Records.empty());
+  EXPECT_EQ(R.Records.back().Status, PassStatus::LimitExhausted);
+  EXPECT_NE(R.Records.back().Violation.find("block-evaluation budget"),
+            std::string::npos)
+      << R.Records.back().Violation;
+  EXPECT_EQ(printGraph(Input), Before);
 }
 
 TEST(PipelineLimitsTest, AmRoundCapIsPlumbedIntoTheFixpoint) {

@@ -16,14 +16,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceSolver.h"
 #include "TestUtil.h"
 #include "analysis/PaperAnalyses.h"
 #include "dfa/Dataflow.h"
+#include "dfa/MultiPattern.h"
 #include "figures/PaperFigures.h"
 #include "gen/RandomProgram.h"
 #include "ir/Patterns.h"
+#include "support/Stats.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/AssignmentMotion.h"
+#include "transform/Initialization.h"
 #include "transform/RedundantAssignElim.h"
 
 #include <gtest/gtest.h>
@@ -146,11 +150,16 @@ TEST(IncrementalSolver, FullyCachedSolveDoesNoBlockWork) {
   FlowGraph G = generateStructuredProgram(7);
   TinyAssigned P(G);
   DataflowSolver Solver;
-  DataflowResult First = Solver.solve(G, P, SolverKind::Worklist);
+  DataflowResult First = Solver.solve(G, P);
   EXPECT_GT(First.BlocksProcessed, 0u);
-  DataflowResult Second = Solver.solve(G, P, SolverKind::Worklist);
+  DataflowResult Second = Solver.solve(G, P);
   EXPECT_EQ(Second.BlocksProcessed, 0u);
   expectSameFacts(G, First, Second, "cached re-solve");
+  // The cached solution moves with the solver.
+  DataflowSolver Moved = std::move(Solver);
+  DataflowResult Third = Moved.solve(G, P);
+  EXPECT_EQ(Third.BlocksProcessed, 0u);
+  expectSameFacts(G, First, Third, "cached re-solve after a move");
 }
 
 TEST(IncrementalSolver, LocalEditResolvesIncrementallyAndExactly) {
@@ -158,7 +167,7 @@ TEST(IncrementalSolver, LocalEditResolvesIncrementallyAndExactly) {
     FlowGraph G = generateStructuredProgram(Seed);
     TinyAssigned P(G);
     DataflowSolver Solver;
-    DataflowResult First = Solver.solve(G, P, SolverKind::Worklist);
+    DataflowResult First = Solver.solve(G, P);
 
     // Append a definition of an existing variable to one mid block —
     // a stamped local edit, as every transform performs.
@@ -169,9 +178,9 @@ TEST(IncrementalSolver, LocalEditResolvesIncrementallyAndExactly) {
                                       : G.block(0).Instrs.front());
     G.touchBlock(Target);
 
-    DataflowResult Incremental = Solver.solve(G, P, SolverKind::Worklist);
+    DataflowResult Incremental = Solver.solve(G, P);
     DataflowSolver FreshSolver;
-    DataflowResult Fresh = FreshSolver.solve(G, P, SolverKind::Worklist);
+    DataflowResult Fresh = FreshSolver.solve(G, P);
     expectSameFacts(G, Incremental, Fresh,
                     "seed " + std::to_string(Seed));
     // The dirty closure is a strict subset of the graph here, so the
@@ -186,15 +195,14 @@ TEST(IncrementalSolver, RoundRobinStillMatchesWorklistAfterEdits) {
     FlowGraph G = generateIrreducibleCfg(Seed);
     TinyAssigned P(G);
     DataflowSolver Solver;
-    Solver.solve(G, P, SolverKind::Worklist);
+    Solver.solve(G, P);
     if (!G.block(1).Instrs.empty()) {
       G.block(1).Instrs.pop_back();
       G.touchBlock(1);
     }
-    DataflowResult Incremental = Solver.solve(G, P, SolverKind::Worklist);
-    DataflowResult RoundRobin = solve(G, P, SolverKind::RoundRobin);
-    expectSameFacts(G, Incremental, RoundRobin,
-                    "irreducible seed " + std::to_string(Seed));
+    DataflowResult Incremental = Solver.solve(G, P);
+    EXPECT_TRUE(matchesReference(G, Incremental))
+        << "irreducible seed " << Seed;
   }
 }
 
@@ -202,10 +210,10 @@ TEST(IncrementalSolver, StructuralChangeInvalidatesAndStaysExact) {
   FlowGraph G = figure10a();
   TinyAssigned P(G);
   DataflowSolver Solver;
-  Solver.solve(G, P, SolverKind::Worklist);
+  Solver.solve(G, P);
   G.splitCriticalEdges(); // structural: new blocks and rewired edges
-  DataflowResult AfterSplit = Solver.solve(G, P, SolverKind::Worklist);
-  DataflowResult Fresh = solve(G, P, SolverKind::Worklist);
+  DataflowResult AfterSplit = Solver.solve(G, P);
+  DataflowResult Fresh = solve(G, P);
   expectSameFacts(G, AfterSplit, Fresh, "after split");
 }
 
@@ -289,6 +297,110 @@ TEST(IncrementalAm, PhaseProducesIdenticalFinalPrograms) {
     expectSameFinalProgram(generateIrreducibleCfg(Seed),
                            "irreducible seed " + std::to_string(Seed));
 }
+
+//===----------------------------------------------------------------------===//
+// Tables 1-3 against the reference oracle, across lane widths
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A generated structured program whose k-th assignment is rewritten to
+/// pattern j = k mod Width, `v(j mod N) := v((7j + 3) mod N) + j`, and
+/// whose branch conditions are reduced to atoms.  Every right-hand side
+/// is then a distinct expression, so the Table 1/2 universe is exactly
+/// Width patterns wide and, after initialization, the Table 3 universe
+/// exactly Width temporaries.
+FlowGraph programOfWidth(size_t Width) {
+  GenOptions Opts;
+  Opts.TargetStmts = static_cast<unsigned>(2 * Width + 60);
+  Opts.NumVars = 16;
+  FlowGraph G = generateStructuredProgram(Width, Opts);
+  std::vector<Operand> Vars;
+  for (unsigned V = 0; V < Opts.NumVars; ++V) {
+    std::string Name = std::string("v").append(std::to_string(V));
+    Vars.push_back(Operand::var(G.Vars.lookup(Name)));
+  }
+  size_t K = 0;
+  for (BlockId B = 0; B < G.numBlocks(); ++B) {
+    for (Instr &I : G.block(B).Instrs) {
+      if (I.isAssign() && Width == 0) {
+        I = Instr::skip();
+      } else if (I.isAssign()) {
+        size_t J = K++ % Width;
+        Term Rhs = Term::binary(OpCode::Add, Vars[(7 * J + 3) % Vars.size()],
+                                Operand::imm(static_cast<int64_t>(J)));
+        I = Instr::assign(Vars[J % Vars.size()].Var, Rhs);
+      } else if (I.isBranch()) {
+        I.CondL = Term::atom(I.CondL.A);
+        I.CondR = Term::atom(I.CondR.A);
+      }
+    }
+  }
+  return G;
+}
+
+uint64_t incrementalSolves() {
+  return stats::Registry::get().counterValue("dfa.solves.incremental");
+}
+
+} // namespace
+
+class PaperProblemOracleSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PaperProblemOracleSweep, MatchesReferenceFromScratchAndAfterEdits) {
+  const size_t Width = GetParam();
+  FlowGraph G = programOfWidth(Width);
+  G.splitCriticalEdges();
+
+  // Table 3 on the initialized program (from scratch only: the flush
+  // analyses use throwaway solvers).
+  FlowGraph Init = G;
+  runInitializationPhase(Init);
+  FlushAnalysis Flush = FlushAnalysis::run(Init);
+  ASSERT_EQ(Flush.universe().size(), Width);
+  EXPECT_TRUE(matchesReference(Init, Flush.delayability()));
+  EXPECT_TRUE(matchesReference(Init, Flush.usability()));
+
+  // Tables 1 and 2 with reused solvers: the first solve is full, every
+  // re-solve after a local edit restarts incrementally.
+  AmContext Ctx;
+  Ctx.refreshPatterns(G);
+  ASSERT_EQ(Ctx.patterns().size(), Width);
+  auto ExpectTables12 = [&](const std::string &Where) {
+    RedundancyAnalysis Red = RedundancyAnalysis::run(
+        G, Ctx.patterns(), Ctx.redundancySolver(), Ctx.patternGeneration());
+    HoistabilityAnalysis Hoist =
+        HoistabilityAnalysis::run(G, Ctx.patterns(), Ctx.hoistSolver(),
+                                  Ctx.hoistLocals(), Ctx.patternGeneration());
+    EXPECT_TRUE(matchesReference(G, Red.result())) << Where;
+    EXPECT_TRUE(matchesReference(G, Hoist.result())) << Where;
+  };
+  ExpectTables12("from scratch");
+
+  // Copies of the program's first assignment (a skip when there is none)
+  // leave the pattern universe and its order unchanged.
+  Instr Copy = Instr::skip();
+  for (BlockId B = 0; B < G.numBlocks() && Copy.isSkip(); ++B)
+    for (const Instr &I : G.block(B).Instrs)
+      if (I.isAssign()) {
+        Copy = I;
+        break;
+      }
+  for (BlockId Edit = 1; Edit <= 3; ++Edit) {
+    BlockId Target = Edit * G.numBlocks() / 4;
+    G.block(Target).Instrs.insert(G.block(Target).Instrs.begin(), Copy);
+    G.touchBlock(Target);
+    uint64_t Gen = Ctx.patternGeneration();
+    Ctx.refreshPatterns(G);
+    ASSERT_EQ(Ctx.patternGeneration(), Gen);
+    uint64_t Incremental0 = incrementalSolves();
+    ExpectTables12("after edit " + std::to_string(Edit));
+    EXPECT_EQ(incrementalSolves() - Incremental0, 2u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, PaperProblemOracleSweep,
+                         ::testing::Values(0, 64, 65, 1100));
 
 //===----------------------------------------------------------------------===//
 // Support pieces

@@ -6,12 +6,11 @@
 //
 // The worker pool itself (futures, exception propagation, the N=1 inline
 // collapse, partitioning) and the determinism contract of the parallel
-// solves: for every thread count and either solver layout, the optimized
-// program is byte-identical and the machine-independent counters agree.
+// solves: for every thread count, the optimized program is byte-identical
+// and the machine-independent counters agree.
 //
 //===----------------------------------------------------------------------===//
 
-#include "dfa/Dataflow.h"
 #include "gen/RandomProgram.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
@@ -30,13 +29,10 @@ using namespace am;
 
 namespace {
 
-/// Restores the process thread count and solver layout on scope exit so a
-/// failing test cannot poison its neighbors.
+/// Restores the process thread count on scope exit so a failing test
+/// cannot poison its neighbors.
 struct PolicyGuard {
-  ~PolicyGuard() {
-    threads::setGlobalThreadCount(0);
-    setSolverLayout(SolverLayout::Auto);
-  }
+  ~PolicyGuard() { threads::setGlobalThreadCount(0); }
 };
 
 //===----------------------------------------------------------------------===//
@@ -197,23 +193,12 @@ TEST(ThreadPool, ParallelForRethrowsAfterJoin) {
 //===----------------------------------------------------------------------===//
 
 /// The counters that must be invariant across thread counts (all of the
-/// bench gate's counters, including the substrate-dependent dfa.* work
-/// counters: thread count never changes which substrate runs or how much
-/// work it reports).
+/// bench gate's counters, including the dfa.* work counters: the thread
+/// count never changes how much work the engine reports).
 const char *AllGated[] = {
-    "dfa.solves",          "dfa.sweeps",         "dfa.blocks_processed",
-    "dfa.words_touched",   "dfa.transfers_recomputed",
-    "am.rounds",           "am.hoist_rounds",    "am.eliminated",
-    "flush.inits_deleted", "flush.inits_sunk",
-};
-
-/// The subset that must also be invariant across solver *layouts*: the
-/// algorithm-level counters.  (dfa.blocks_processed counts slice-block
-/// evaluations on the transposed substrate, whole-block evaluations on
-/// the scalar one, so it and words_touched legitimately differ.)
-const char *LayoutInvariant[] = {
-    "dfa.solves", "am.rounds",           "am.hoist_rounds",
-    "am.eliminated", "flush.inits_deleted", "flush.inits_sunk",
+    "dfa.solves",          "dfa.blocks_processed", "dfa.words_touched",
+    "dfa.transfers_recomputed", "am.rounds",       "am.hoist_rounds",
+    "am.eliminated",       "flush.inits_deleted",  "flush.inits_sunk",
 };
 
 template <size_t N>
@@ -255,10 +240,10 @@ TEST(ThreadsDifferential, CorpusIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ThreadsDifferential, WideUniverseIdenticalAcrossLayoutsAndThreads) {
+TEST(ThreadsDifferential, WideUniverseIdenticalAcrossThreads) {
   PolicyGuard Guard;
-  // A pattern universe wider than one machine word, so Auto (and forced
-  // Transposed) actually slice; 20 seeds keep the sweep fast.
+  // A pattern universe wider than one machine word, so the engine runs on
+  // wide lanes; 20 seeds keep the sweep fast.
   GenOptions Opts;
   Opts.TargetStmts = 200;
   Opts.NumVars = 12;
@@ -267,44 +252,22 @@ TEST(ThreadsDifferential, WideUniverseIdenticalAcrossLayoutsAndThreads) {
     FlowGraph In = generateStructuredProgram(Seed, Opts);
     std::string Reference;
     std::map<std::string, uint64_t> ReferenceCounters;
-    bool First = true;
-    for (SolverLayout Layout : {SolverLayout::Scalar, SolverLayout::Transposed}) {
-      for (unsigned Threads : {1u, 8u}) {
-        setSolverLayout(Layout);
-        threads::setGlobalThreadCount(Threads);
-        stats::Registry::get().resetAll();
-        std::string Out = runUniform(In);
-        std::map<std::string, uint64_t> Counters =
-            counterSnapshot(LayoutInvariant);
-        if (First) {
-          Reference = Out;
-          ReferenceCounters = Counters;
-          First = false;
-        } else {
-          EXPECT_EQ(Out, Reference)
-              << "seed " << Seed << ", layout "
-              << (Layout == SolverLayout::Scalar ? "scalar" : "transposed")
-              << ", " << Threads << " threads: output diverged";
-          EXPECT_EQ(Counters, ReferenceCounters)
-              << "seed " << Seed << ", " << Threads << " threads";
-        }
+    for (unsigned Threads : {1u, 8u}) {
+      threads::setGlobalThreadCount(Threads);
+      stats::Registry::get().resetAll();
+      std::string Out = runUniform(In);
+      std::map<std::string, uint64_t> Counters = counterSnapshot(AllGated);
+      if (Threads == 1) {
+        Reference = Out;
+        ReferenceCounters = Counters;
+      } else {
+        EXPECT_EQ(Out, Reference)
+            << "seed " << Seed << ", " << Threads
+            << " threads: output diverged";
+        EXPECT_EQ(Counters, ReferenceCounters)
+            << "seed " << Seed << ", " << Threads << " threads";
       }
     }
-  }
-}
-
-TEST(ThreadsDifferential, ForcedTransposedHandlesNarrowUniverses) {
-  PolicyGuard Guard;
-  // Narrow problems (<= 64 patterns, one slice) through the sliced
-  // engine must match the scalar fixpoint too.
-  setSolverLayout(SolverLayout::Transposed);
-  for (uint64_t Seed = 0; Seed < 30; ++Seed) {
-    FlowGraph In = generateStructuredProgram(Seed);
-    std::string Forced = runUniform(In);
-    setSolverLayout(SolverLayout::Scalar);
-    std::string Ref = runUniform(In);
-    setSolverLayout(SolverLayout::Transposed);
-    EXPECT_EQ(Forced, Ref) << "seed " << Seed;
   }
 }
 

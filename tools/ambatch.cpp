@@ -485,7 +485,9 @@ int main(int argc, char **argv) {
   Parser.option("--passes", Passes, "pass pipeline for every job", "p1,p2,...");
   Parser.flag("--unguarded", Unguarded,
               "run the plain pipeline (default is guarded with rollback)");
-  Parser.option("--limits", LimitsSpec, "per-job resource budgets",
+  Parser.option("--limits", LimitsSpec,
+                "per-job resource budgets (sweeps = dataflow block "
+                "evaluations)",
                 "am-rounds=N,growth=F,sweeps=N,wall-ms=F");
   Parser.option("--threads", ThreadSpec,
                 "job-level worker threads (events/aggregate identical for "

@@ -5,8 +5,8 @@ Counter gate (the default): runs ``amopt --stats=json`` for every preset
 in ``bench/BENCH_baseline.json`` and compares the solver/transform
 counters against the committed baseline.  Counters are machine-independent
 (they count work items, never time), so any growth beyond the tolerance is
-a real algorithmic regression — more solves, more sweeps, more words
-touched — and fails the check.  Wall time is recorded per preset for
+a real algorithmic regression — more solves, more block evaluations, more
+words touched — and fails the check.  Wall time is recorded per preset for
 context but never enforced there: CI machines are too noisy for raw
 wall-clock gates.
 
@@ -51,7 +51,6 @@ import time
 # good strategies.
 GATED_COUNTERS = [
     "dfa.solves",
-    "dfa.sweeps",
     "dfa.blocks_processed",
     "dfa.words_touched",
     "dfa.transfers_recomputed",

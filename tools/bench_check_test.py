@@ -10,6 +10,7 @@ Run directly (``python3 tools/bench_check_test.py``) or via ctest
 
 import copy
 import importlib.util
+import json
 import os
 import sys
 import unittest
@@ -119,6 +120,19 @@ class ValidateBaselineTest(unittest.TestCase):
         doc["history"] = {"_comment": "pointer lost"}
         self.assertTrue(any("history: missing file pointer" in e
                             for e in bench_check.validate_baseline(doc)))
+
+
+class CommittedBaselineTest(unittest.TestCase):
+    def test_presets_record_exactly_the_gated_counters(self):
+        # The check compares only the counters a baseline entry records: a
+        # gated counter missing there is silently ungated, a stale one
+        # (no longer produced) reads as 0 and never fails.
+        path = os.path.join(_HERE, os.pardir, "bench", "BENCH_baseline.json")
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        for name, entry in doc["presets"].items():
+            self.assertEqual(sorted(entry["counters"]),
+                             sorted(bench_check.GATED_COUNTERS), name)
 
 
 class BuildBaselineDocTest(unittest.TestCase):
