@@ -32,7 +32,6 @@
 #include "dfa/MultiPattern.h"
 #include "support/Profiler.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <atomic>
 #include <cassert>
@@ -123,18 +122,10 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   AM_STAT_COUNTER(NumSolves, "dfa.solves");
   AM_STAT_COUNTER(NumSolvesCached, "dfa.solves.cached");
   AM_STAT_COUNTER(NumSolvesIncremental, "dfa.solves.incremental");
-  AM_STAT_TIMER(SolveTimer, "dfa.solve_ns");
   AM_STAT_INC(NumSolves);
   uint64_t Serial =
       GlobalSolveSerial.fetch_add(1, std::memory_order_relaxed) + 1;
-  AM_STAT_TIME_SCOPE(SolveTimer);
   AM_PROF_SCOPE("dfa.solve");
-
-  trace::TraceSpan Span("dfa.solve");
-  Span.arg("bits", Bits);
-  Span.arg("blocks", NumBlocks);
-  Span.arg("direction", Forward ? "forward" : "backward");
-  Span.arg("meet", MeetAll ? "all" : "any");
 
   SolveInfo Info;
   Info.Serial = Serial;
@@ -149,7 +140,6 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   // problem: the cached solution is the answer.
   if (PrevValid && !G.instrsChangedSince(SolTick)) {
     AM_STAT_INC(NumSolvesCached);
-    Span.arg("cached", 1);
     DataflowResult R = snapshot(G, P, Forward);
     R.SolveSerial = Serial;
     Info.P = SolveInfo::Path::Cached;
@@ -185,12 +175,8 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
       }
     }
     AM_STAT_INC(NumSolvesIncremental);
-    Span.arg("incremental", 1);
-    Span.arg("dirty_closure", DirtyScratch.size());
   }
   size_t LaneWidth = PackedLaneMatrix::widthFor(Bits);
-  Span.arg("slices", (Bits + 63) / 64);
-  Span.arg("lane_words", LaneWidth);
 
   if (!Engine)
     Engine = std::make_unique<TransposedEngine>();
@@ -226,9 +212,6 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   AM_STAT_COUNTER(NumWordsTouched, "dfa.words_touched");
   AM_STAT_ADD(NumBlocksProcessed, BlocksProcessed);
   AM_STAT_ADD(NumWordsTouched, WordsTouched);
-
-  Span.arg("blocks_processed", BlocksProcessed);
-  Span.arg("words_touched", WordsTouched);
 
   DataflowResult R = snapshot(G, P, Forward);
   R.BlocksProcessed = BlocksProcessed;

@@ -6,7 +6,6 @@
 
 #include "interp/Equivalence.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 
@@ -17,10 +16,7 @@ EquivalenceReport am::checkEquivalent(
     const std::unordered_map<std::string, int64_t> &Inputs,
     uint64_t NondetSeed, Interpreter::Options Opts) {
   AM_STAT_COUNTER(NumChecks, "equivalence.checks");
-  AM_STAT_TIMER(CheckTimer, "equivalence.check_ns");
   AM_STAT_INC(NumChecks);
-  AM_STAT_TIME_SCOPE(CheckTimer);
-  trace::TraceSpan Span("equivalence.check");
   EquivalenceReport Rep;
   Rep.Lhs = Interpreter::execute(A, Inputs, NondetSeed, Opts);
   Rep.Rhs = Interpreter::execute(B, Inputs, NondetSeed, Opts);

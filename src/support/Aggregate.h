@@ -13,8 +13,7 @@
 /// facts (counters, IR sizes, statuses, remark kinds; never wall times
 /// or thread counts), so the serialized JSON is byte-identical for any
 /// `--threads` value and any job completion order.  The histogram
-/// geometry is stats::log2BucketIndex — the exact buckets `stats::Timer`
-/// uses — so per-job and cross-job distributions read the same way.
+/// geometry is stats::log2BucketIndex.
 ///
 /// Wall-clock summaries for the dashboard come from the raw event log
 /// (support/EventLog.h), which is the explicitly machine-specific layer.
@@ -35,8 +34,8 @@ namespace am::fleet {
 struct JobEvent;
 
 /// Fixed-boundary log-scale histogram over uint64 values: bucket i
-/// counts values in [2^i, 2^{i+1}), 0 and 1 share bucket 0 (the
-/// stats::Timer geometry, via the shared stats:: helpers).
+/// counts values in [2^i, 2^{i+1}), 0 and 1 share bucket 0 (via the
+/// shared stats:: helpers).
 class Histogram {
 public:
   static constexpr size_t NumBuckets = 64;

@@ -8,12 +8,10 @@
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Telemetry.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -239,8 +237,6 @@ void Profiler::enter(std::string_view Name) {
   uint32_t Id = childNamed(Parent, Name);
   Node &N = Nodes[Id];
   ++N.Calls;
-  if (N.Calls == 1)
-    N.FirstStartUs = trace::epochNowUs();
   Stack.push_back({Id, nowNs(), allocatedBytes(), allocationCount()});
 }
 
@@ -253,7 +249,6 @@ void Profiler::leave() {
   N.WallNs += nowNs() - F.StartNs;
   N.AllocBytes += allocatedBytes() - F.StartAllocBytes;
   N.AllocCalls += allocationCount() - F.StartAllocCalls;
-  N.LastEndUs = trace::epochNowUs();
 }
 
 void Profiler::mergeNode(uint32_t DstParent, const Profiler &Src,
@@ -261,15 +256,10 @@ void Profiler::mergeNode(uint32_t DstParent, const Profiler &Src,
   const Node &S = Src.Nodes[SrcId];
   uint32_t DstId = childNamed(DstParent, S.Name);
   Node &D = Nodes[DstId];
-  bool Fresh = D.Calls == 0;
   D.Calls += S.Calls;
   D.WallNs += S.WallNs;
   D.AllocBytes += S.AllocBytes;
   D.AllocCalls += S.AllocCalls;
-  if (Fresh || (S.FirstStartUs != 0 && S.FirstStartUs < D.FirstStartUs))
-    D.FirstStartUs = S.FirstStartUs;
-  if (S.LastEndUs > D.LastEndUs)
-    D.LastEndUs = S.LastEndUs;
   // Name-sorted recursion: the merged shape is a function of the scope
   // *sets*, not of the order worker threads happened to enter them.
   std::vector<uint32_t> Order(S.Children.begin(), S.Children.end());
@@ -360,8 +350,6 @@ std::string Profiler::toJsonString() const {
     W.key("wall_ns").value(N.WallNs);
     W.key("alloc_bytes").value(N.AllocBytes);
     W.key("alloc_calls").value(N.AllocCalls);
-    W.key("first_start_us").value(N.FirstStartUs);
-    W.key("last_end_us").value(N.LastEndUs);
     W.key("children").beginArray();
     for (uint32_t Child : N.Children)
       Self(Self, Child);
@@ -370,7 +358,7 @@ std::string Profiler::toJsonString() const {
   };
   W.beginObject();
   W.key("schema").value("amprof-v1");
-  W.key("clock").value("steady; *_us offsets share the --trace epoch");
+  W.key("clock").value("steady");
   W.key("shape").value(treeShape());
   W.key("alloc_tracking").value(allocTrackingAvailable());
   W.key("tree");
@@ -380,10 +368,40 @@ std::string Profiler::toJsonString() const {
   return Out;
 }
 
-bool Profiler::writeJsonFile(const std::string &Path) const {
-  std::ofstream OutFile(Path, std::ios::binary);
-  if (!OutFile)
-    return false;
-  OutFile << toJsonString() << "\n";
-  return static_cast<bool>(OutFile);
+std::string Profiler::toChromeTraceJson() const {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject();
+  W.key("displayTimeUnit").value("ms");
+  W.key("traceEvents").beginArray();
+  // Layout in ns, children packed left to right inside [Begin, End).  Both
+  // ends round down to µs, which keeps every child inside its parent.
+  auto Render = [&](auto &&Self, uint32_t Id, uint64_t Begin,
+                    uint64_t End) -> void {
+    uint64_t Cursor = Begin;
+    for (uint32_t Child : Nodes[Id].Children) {
+      const Node &N = Nodes[Child];
+      uint64_t ChildEnd = std::min(End, Cursor + N.WallNs);
+      W.beginObject();
+      W.key("name").value(N.Name);
+      W.key("ph").value("X");
+      W.key("ts").value(Cursor / 1000);
+      W.key("dur").value(ChildEnd / 1000 - Cursor / 1000);
+      W.key("pid").value(uint64_t(1));
+      W.key("tid").value(uint64_t(1));
+      W.key("args").beginObject();
+      W.key("calls").value(N.Calls);
+      W.key("alloc_bytes").value(N.AllocBytes);
+      W.key("alloc_calls").value(N.AllocCalls);
+      W.endObject();
+      W.endObject();
+      Self(Self, Child, Cursor, ChildEnd);
+      Cursor = ChildEnd;
+    }
+  };
+  // The root carries no time of its own: its children run back to back.
+  Render(Render, RootId, 0, UINT64_MAX);
+  W.endArray();
+  W.endObject();
+  return Out;
 }

@@ -12,7 +12,9 @@
 /// allocation count) observed while the scope was open.  The tree answers
 /// the question the flat stats registry cannot: *where* does the time go
 /// — parse vs. the rae/aht fixpoint vs. each Table 1-3 analysis vs. the
-/// final flush — and what does each phase allocate.
+/// final flush — and what does each phase allocate.  It is the
+/// optimizer's only timing instrument: `toChromeTraceJson()` renders the
+/// same tree as a Chrome `trace_event` file (what `amopt --trace` writes).
 ///
 /// Usage inside library code:
 ///
@@ -31,11 +33,6 @@
 /// run stays below 5% because scopes wrap coarse phases, never per-bit
 /// work.  The profiler never mutates the program, so optimized output is
 /// byte-identical with profiling on, off, or compiled out.
-///
-/// Timestamps: every node additionally records the first-entry/last-exit
-/// microsecond offsets on the *same* steady-clock epoch the Chrome tracer
-/// uses (see trace::epochNowUs), so a phase tree and a `--trace` file from
-/// the same run align span for span.
 ///
 /// The profiler is per telemetry session (see support/Telemetry.h) and,
 /// like the remark sink's pass/round context, assumes the optimizer
@@ -109,9 +106,6 @@ public:
     uint64_t WallNs = 0;     ///< Inclusive wall time over all calls.
     uint64_t AllocBytes = 0; ///< Heap bytes requested while open.
     uint64_t AllocCalls = 0; ///< operator-new calls while open.
-    /// First-entry / last-exit offsets (µs) on the tracer's clock epoch.
-    uint64_t FirstStartUs = 0;
-    uint64_t LastEndUs = 0;
   };
 
   Profiler() { reset(); }
@@ -160,11 +154,10 @@ public:
 
   /// Folds \p Worker's phase tree (the children of its root) into the
   /// innermost open scope of this profiler (the root if none is open):
-  /// call counts, wall time and allocation deltas add; FirstStartUs takes
-  /// the earliest, LastEndUs the latest.  Children of every merged node
-  /// are visited in *name-sorted* order, so the resulting tree shape
-  /// depends only on the set of scopes the workers entered — never on
-  /// thread scheduling — as long as the caller merges its workers in a
+  /// call counts, wall time and allocation deltas add.  Children of every
+  /// merged node are visited in *name-sorted* order, so the resulting tree
+  /// shape depends only on the set of scopes the workers entered — never
+  /// on thread scheduling — as long as the caller merges its workers in a
   /// fixed (e.g. batch-index) order.  \p Worker must be quiescent: no
   /// scope open, no other thread inside it.
   void merge(const Profiler &Worker);
@@ -175,12 +168,20 @@ public:
   std::string toCollapsedString() const;
 
   /// The full phase tree as one JSON object:
-  /// {"schema":"amprof-v1","clock":"steady, shared with --trace",
+  /// {"schema":"amprof-v1","clock":"steady",
   ///  "tree":{...recursive nodes...},"collapsed":"..."}.
   std::string toJsonString() const;
 
-  /// Writes toJsonString() to \p Path.  False on I/O error.
-  bool writeJsonFile(const std::string &Path) const;
+  /// The tree as a Chrome `trace_event` document,
+  /// {"displayTimeUnit":"ms","traceEvents":[...]}: one complete ("X")
+  /// event per non-root node in preorder, args {calls, alloc_bytes,
+  /// alloc_calls}.  Each node is laid out on a synthetic timeline — it
+  /// starts at its parent's start plus its earlier siblings' inclusive
+  /// time and lasts its own inclusive time, in µs — so the events nest by
+  /// construction and Perfetto shows the tree as a flame chart.  A child
+  /// that would overrun its parent (merged worker trees sum thread time)
+  /// is clipped to the parent's end.  An empty tree yields no events.
+  std::string toChromeTraceJson() const;
 
 private:
   struct Frame {

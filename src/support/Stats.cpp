@@ -9,12 +9,10 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 
 using namespace am;
 using namespace am::stats;
@@ -58,58 +56,6 @@ uint64_t stats::log2BucketPercentile(const uint64_t *Buckets,
   return MaxFallback;
 }
 
-std::string stats::percentileLabel(double Q) {
-  if (Q < 0.0)
-    Q = 0.0;
-  if (Q > 1.0)
-    Q = 1.0;
-  // Render Q*100 with enough precision for labels like p99.9, trimming
-  // trailing zeros ("50.000000" -> "50").
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.4f", Q * 100.0);
-  std::string S(Buf);
-  while (!S.empty() && S.back() == '0')
-    S.pop_back();
-  if (!S.empty() && S.back() == '.')
-    S.pop_back();
-  return "p" + S;
-}
-
-void Timer::record(uint64_t Ns) {
-  Count.fetch_add(1, std::memory_order_relaxed);
-  TotalNs.fetch_add(Ns, std::memory_order_relaxed);
-  // min/max via CAS loops; contention here is negligible (timers wrap
-  // coarse regions, not per-bit work).
-  uint64_t Cur = MinNs.load(std::memory_order_relaxed);
-  while (Ns < Cur &&
-         !MinNs.compare_exchange_weak(Cur, Ns, std::memory_order_relaxed))
-    ;
-  Cur = MaxNs.load(std::memory_order_relaxed);
-  while (Ns > Cur &&
-         !MaxNs.compare_exchange_weak(Cur, Ns, std::memory_order_relaxed))
-    ;
-  Buckets[log2BucketIndex(Ns, NumBuckets)].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-uint64_t Timer::percentileNs(double Q) const {
-  uint64_t Snapshot[NumBuckets];
-  for (size_t B = 0; B < NumBuckets; ++B)
-    Snapshot[B] = Buckets[B].load(std::memory_order_relaxed);
-  return log2BucketPercentile(Snapshot, NumBuckets,
-                              Count.load(std::memory_order_relaxed), Q,
-                              maxNs());
-}
-
-void Timer::reset() {
-  Count.store(0, std::memory_order_relaxed);
-  TotalNs.store(0, std::memory_order_relaxed);
-  MinNs.store(UINT64_MAX, std::memory_order_relaxed);
-  MaxNs.store(0, std::memory_order_relaxed);
-  for (auto &B : Buckets)
-    B.store(0, std::memory_order_relaxed);
-}
-
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
@@ -120,11 +66,8 @@ struct Registry::Impl {
   mutable std::mutex Mu;
   std::deque<Counter> Counters;
   std::deque<Gauge> Gauges;
-  std::deque<Timer> Timers;
   std::map<std::string, Counter *> CounterByName;
   std::map<std::string, Gauge *> GaugeByName;
-  std::map<std::string, Timer *> TimerByName;
-  std::vector<double> DumpPercentiles{0.5, 0.95, 0.99};
 };
 
 namespace {
@@ -170,18 +113,6 @@ Gauge &Registry::gauge(const std::string &Name) {
   return G;
 }
 
-Timer &Registry::timer(const std::string &Name) {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  auto It = I.TimerByName.find(Name);
-  if (It != I.TimerByName.end())
-    return *It->second;
-  I.Timers.emplace_back(Name);
-  Timer &T = I.Timers.back();
-  I.TimerByName.emplace(Name, &T);
-  return T;
-}
-
 const Counter *Registry::findCounter(const std::string &Name) const {
   Impl &I = impl();
   std::lock_guard<std::mutex> Lock(I.Mu);
@@ -196,13 +127,6 @@ const Gauge *Registry::findGauge(const std::string &Name) const {
   return It == I.GaugeByName.end() ? nullptr : It->second;
 }
 
-const Timer *Registry::findTimer(const std::string &Name) const {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  auto It = I.TimerByName.find(Name);
-  return It == I.TimerByName.end() ? nullptr : It->second;
-}
-
 uint64_t Registry::counterValue(const std::string &Name) const {
   const Counter *C = findCounter(Name);
   return C ? C->get() : 0;
@@ -215,37 +139,6 @@ void Registry::resetAll() {
     C.reset();
   for (Gauge &G : I.Gauges)
     G.reset();
-  for (Timer &T : I.Timers)
-    T.reset();
-}
-
-void Registry::setDumpPercentiles(std::vector<double> Qs) {
-  for (double &Q : Qs) {
-    if (Q < 0.0)
-      Q = 0.0;
-    if (Q > 1.0)
-      Q = 1.0;
-  }
-  // Drop label duplicates (keep first) so a dump never emits the same
-  // JSON key twice.
-  std::vector<double> Unique;
-  std::vector<std::string> Labels;
-  for (double Q : Qs) {
-    std::string L = percentileLabel(Q);
-    if (std::find(Labels.begin(), Labels.end(), L) == Labels.end()) {
-      Labels.push_back(L);
-      Unique.push_back(Q);
-    }
-  }
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  I.DumpPercentiles = std::move(Unique);
-}
-
-std::vector<double> Registry::dumpPercentiles() const {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  return I.DumpPercentiles;
 }
 
 std::vector<std::pair<std::string, uint64_t>> Registry::counterEntries() const {
@@ -271,25 +164,13 @@ std::vector<std::pair<std::string, int64_t>> Registry::gaugeEntries() const {
 void Registry::dumpText(std::ostream &OS) const {
   Impl &I = impl();
   std::lock_guard<std::mutex> Lock(I.Mu);
-  // The by-name maps are already sorted; interleave all three kinds into
-  // one alphabetical listing.
+  // The by-name maps are already sorted; interleave both kinds into one
+  // alphabetical listing.
   std::vector<std::pair<std::string, std::string>> Lines;
   for (const auto &[Name, C] : I.CounterByName)
     Lines.emplace_back(Name, std::to_string(C->get()));
   for (const auto &[Name, G] : I.GaugeByName)
     Lines.emplace_back(Name, std::to_string(G->get()));
-  for (const auto &[Name, T] : I.TimerByName) {
-    std::ostringstream V;
-    uint64_t N = T->count();
-    V << N << " samples, total " << T->totalNs() << " ns";
-    if (N) {
-      V << ", mean " << (T->totalNs() / N) << " ns, min " << T->minNs()
-        << " ns, max " << T->maxNs() << " ns";
-      for (double Q : I.DumpPercentiles)
-        V << ", " << percentileLabel(Q) << " ~" << T->percentileNs(Q) << " ns";
-    }
-    Lines.emplace_back(Name, V.str());
-  }
   std::sort(Lines.begin(), Lines.end());
   size_t Width = 0;
   for (const auto &[Name, Value] : Lines)
@@ -317,27 +198,6 @@ std::string Registry::dumpJsonString() const {
   W.key("gauges").beginObject();
   for (const auto &[Name, G] : I.GaugeByName)
     W.key(Name).value(G->get());
-  W.endObject();
-
-  W.key("timers").beginObject();
-  for (const auto &[Name, T] : I.TimerByName) {
-    W.key(Name).beginObject();
-    uint64_t N = T->count();
-    W.key("count").value(N);
-    W.key("total_ns").value(T->totalNs());
-    W.key("min_ns").value(T->minNs());
-    W.key("max_ns").value(T->maxNs());
-    W.key("mean_ns").value(N ? T->totalNs() / N : 0);
-    for (double Q : I.DumpPercentiles)
-      W.key(percentileLabel(Q) + "_ns").value(T->percentileNs(Q));
-    // Sparse log2 histogram: {"<floor log2 ns>": count}.
-    W.key("log2_buckets").beginObject();
-    for (size_t B = 0; B < Timer::NumBuckets; ++B)
-      if (uint64_t BN = T->bucket(B))
-        W.key(std::to_string(B)).value(BN);
-    W.endObject();
-    W.endObject();
-  }
   W.endObject();
 
   W.endObject();

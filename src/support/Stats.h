@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A registry of named monotonic counters, gauges and timer histograms,
-/// built so that the paper's empirical claims (near-linear dataflow
-/// sweeps, a quickly stabilizing AM fixpoint, a final flush that deletes
-/// unjustified initializations) are observable on every run.  One
+/// A registry of named monotonic counters and gauges, built so that the
+/// paper's empirical claims (near-linear dataflow sweeps, a quickly
+/// stabilizing AM fixpoint, a final flush that deletes unjustified
+/// initializations) are observable on every run.  One
 /// registry belongs to one telemetry session (support/Telemetry.h);
 /// `Registry::get()` resolves to the calling thread's current session, so
 /// concurrent optimization jobs count into disjoint registries.  Code
@@ -24,9 +24,6 @@
 ///
 ///   AM_STAT_GAUGE(LastBits, "dfa.last_bits");
 ///   AM_STAT_SET(LastBits, Problem.numBits());
-///
-///   AM_STAT_TIMER(SolveTimer, "dfa.solve_ns");
-///   { am::stats::TimerScope T(SolveTimer); ...hot work... }
 /// \endcode
 ///
 /// Cost model: `AM_STAT_COUNTER` declares a function-local thread-local
@@ -36,14 +33,12 @@
 /// one integer compare and a single relaxed atomic add — no map lookups,
 /// no locks, no allocation.  Compiling with `-DAM_DISABLE_STATS` turns
 /// every macro into nothing at all (branch-free: the counter update is
-/// not conditionally skipped, it does not exist).  Timer scopes
-/// additionally honor the runtime `Registry::setEnabled(false)` switch so
-/// the clock is never read when observation is off.
+/// not conditionally skipped, it does not exist).  The registry keeps
+/// no clock: phase time lives in the profiler's tree (support/Profiler.h).
 ///
 /// Counter naming convention: lower-case dotted paths,
 /// `<subsystem>.<quantity>[_<unit>]` — e.g. `dfa.blocks_processed`,
-/// `am.rounds`, `flush.inits_deleted`, `dfa.solve_ns`.  Timers always end
-/// in `_ns`.
+/// `am.rounds`, `flush.inits_deleted`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +46,6 @@
 #define AM_SUPPORT_STATS_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -65,10 +59,9 @@ namespace am::stats {
 // Shared log2-histogram helpers
 //===----------------------------------------------------------------------===//
 //
-// One implementation of the log-scale bucket geometry, used by
-// stats::Timer here and by the fleet aggregator's value histograms
-// (support/Aggregate.h) so the two can never drift: bucket i counts
-// samples in [2^i, 2^{i+1}), with 0 and 1 sharing bucket 0.
+// The log-scale bucket geometry of the fleet aggregator's value
+// histograms (support/Aggregate.h): bucket i counts samples in
+// [2^i, 2^{i+1}), with 0 and 1 sharing bucket 0.
 
 /// floor(log2(max(V, 1))), clamped to NumBuckets - 1.
 size_t log2BucketIndex(uint64_t V, size_t NumBuckets);
@@ -80,10 +73,6 @@ size_t log2BucketIndex(uint64_t V, size_t NumBuckets);
 /// clamped to [0, 1].
 uint64_t log2BucketPercentile(const uint64_t *Buckets, size_t NumBuckets,
                               uint64_t Count, double Q, uint64_t MaxFallback);
-
-/// Display label for a percentile: 0.5 -> "p50", 0.99 -> "p99",
-/// 0.999 -> "p99.9".
-std::string percentileLabel(double Q);
 
 /// A monotonically increasing event count.
 class Counter {
@@ -115,39 +104,6 @@ private:
   std::atomic<int64_t> Value{0};
 };
 
-/// A duration histogram: count, sum, min, max and a log2 bucket per
-/// power-of-two of nanoseconds (bucket i counts samples in [2^i, 2^{i+1})).
-class Timer {
-public:
-  static constexpr size_t NumBuckets = 40; // up to ~18 minutes per sample
-
-  explicit Timer(std::string Name) : Name(std::move(Name)) {}
-
-  void record(uint64_t Ns);
-
-  uint64_t count() const { return Count.load(std::memory_order_relaxed); }
-  uint64_t totalNs() const { return TotalNs.load(std::memory_order_relaxed); }
-  uint64_t minNs() const { return Count.load(std::memory_order_relaxed) ? MinNs.load(std::memory_order_relaxed) : 0; }
-  uint64_t maxNs() const { return MaxNs.load(std::memory_order_relaxed); }
-  uint64_t bucket(size_t Idx) const { return Buckets[Idx].load(std::memory_order_relaxed); }
-
-  /// Nearest-rank percentile estimated from the log2 histogram: the
-  /// returned value is the midpoint of the bucket containing the Q-th
-  /// sample (exact min/max come from minNs()/maxNs()).  \p Q in [0, 1];
-  /// 0 when no samples were recorded.
-  uint64_t percentileNs(double Q) const;
-  void reset();
-  const std::string &name() const { return Name; }
-
-private:
-  std::string Name;
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> TotalNs{0};
-  std::atomic<uint64_t> MinNs{UINT64_MAX};
-  std::atomic<uint64_t> MaxNs{0};
-  std::atomic<uint64_t> Buckets[NumBuckets] = {};
-};
-
 /// One session's registry.  Instruments register lazily on first use
 /// (under a lock) and live as long as their registry; the process-default
 /// registry is leaked, so its instrument references stay valid for the
@@ -173,38 +129,23 @@ public:
   /// Thread-safe; the returned reference is stable forever.
   Counter &counter(const std::string &Name);
   Gauge &gauge(const std::string &Name);
-  Timer &timer(const std::string &Name);
 
   /// Lookup without creation; nullptr when the name was never registered.
   const Counter *findCounter(const std::string &Name) const;
   const Gauge *findGauge(const std::string &Name) const;
-  const Timer *findTimer(const std::string &Name) const;
-
-  /// Runtime switch consulted by TimerScope (and by the tracer).  Counter
-  /// and gauge updates are always live — they are one relaxed atomic and
-  /// not worth a branch.
-  void setEnabled(bool On) { Enabled.store(On, std::memory_order_relaxed); }
-  bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
   /// Zeroes every registered instrument (names stay registered).
   void resetAll();
-
-  /// The percentiles rendered by dumpText/dumpJson for every timer.
-  /// Default {0.5, 0.95, 0.99}; values are clamped to [0, 1] and label
-  /// collisions (e.g. 0.5 twice) keep the first occurrence.
-  void setDumpPercentiles(std::vector<double> Qs);
-  std::vector<double> dumpPercentiles() const;
 
   /// Name-sorted snapshot of every registered counter / gauge — the
   /// fleet event log records these per job.
   std::vector<std::pair<std::string, uint64_t>> counterEntries() const;
   std::vector<std::pair<std::string, int64_t>> gaugeEntries() const;
 
-  /// `name value` lines, sorted by name; timers render count/total/mean.
+  /// `name value` lines, sorted by name.
   void dumpText(std::ostream &OS) const;
 
-  /// One JSON object: {"counters": {...}, "gauges": {...}, "timers":
-  /// {name: {count, total_ns, min_ns, max_ns, mean_ns, buckets}}}.
+  /// One JSON object: {"counters": {...}, "gauges": {...}}.
   void dumpJson(std::ostream &OS) const;
   std::string dumpJsonString() const;
 
@@ -217,7 +158,6 @@ private:
   Impl &impl() const { return *I; }
 
   std::unique_ptr<Impl> I;
-  std::atomic<bool> Enabled{true};
   uint64_t Generation;
 };
 
@@ -281,53 +221,6 @@ private:
   Gauge *Ptr = nullptr;
 };
 
-/// As CachedCounter, for timers.
-class CachedTimer {
-public:
-  explicit constexpr CachedTimer(const char *Name) : Name(Name) {}
-
-  Timer &ref() {
-    Registry &R = Registry::get();
-    if (Gen != R.generation()) {
-      Ptr = &R.timer(Name);
-      Gen = R.generation();
-    }
-    return *Ptr;
-  }
-  operator Timer &() { return ref(); }
-
-  void record(uint64_t Ns) { ref().record(Ns); }
-
-private:
-  const char *Name;
-  uint64_t Gen = 0;
-  Timer *Ptr = nullptr;
-};
-
-/// RAII wall-clock scope feeding a Timer.  Does not touch the clock when
-/// the registry is disabled at runtime.
-class TimerScope {
-public:
-  explicit TimerScope(Timer &T)
-      : Target(Registry::get().enabled() ? &T : nullptr) {
-    if (Target)
-      Start = std::chrono::steady_clock::now();
-  }
-  ~TimerScope() {
-    if (Target)
-      Target->record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Start)
-              .count()));
-  }
-  TimerScope(const TimerScope &) = delete;
-  TimerScope &operator=(const TimerScope &) = delete;
-
-private:
-  Timer *Target;
-  std::chrono::steady_clock::time_point Start;
-};
-
 } // namespace am::stats
 
 //===----------------------------------------------------------------------===//
@@ -349,12 +242,6 @@ private:
   static thread_local ::am::stats::CachedGauge Var{Name}
 #define AM_STAT_SET(Var, Value) (Var).set(static_cast<int64_t>(Value))
 
-#define AM_STAT_TIMER(Var, Name)                                               \
-  static thread_local ::am::stats::CachedTimer Var{Name}
-/// RAII: times the rest of the enclosing scope into timer \p Var.
-#define AM_STAT_TIME_SCOPE(Var)                                                \
-  ::am::stats::TimerScope am_stat_scope_##Var(Var)
-
 #else // AM_DISABLE_STATS — everything compiles away; branch-free because
       // the update does not exist at all.
 
@@ -363,8 +250,6 @@ private:
 #define AM_STAT_ADD(Var, Delta) do { } while (false)
 #define AM_STAT_GAUGE(Var, Name) do { } while (false)
 #define AM_STAT_SET(Var, Value) do { } while (false)
-#define AM_STAT_TIMER(Var, Name) do { } while (false)
-#define AM_STAT_TIME_SCOPE(Var) do { } while (false)
 
 #endif // AM_DISABLE_STATS
 

@@ -30,10 +30,10 @@
 ///   std::string Stats = Job.stats().dumpJsonString();
 /// \endcode
 ///
-/// What stays process-wide on purpose: the Chrome tracer (one timeline
-/// per process is what trace viewers expect; its clock epoch is shared
-/// with the profiler via trace::epochNowUs) and the two cumulative
-/// allocation counters (operator new has no session context).
+/// What stays process-wide on purpose: the two cumulative allocation
+/// counters (operator new has no session context).  A Chrome trace is
+/// not a separate sink: it is an export of the session profiler's tree
+/// (prof::Profiler::toChromeTraceJson).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 #include "support/Profiler.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/RedundantAssignElim.h"
 
@@ -25,11 +24,8 @@ AmPhaseStats am::runAssignmentMotionPhase(FlowGraph &G, AmContext &Ctx,
   AM_STAT_COUNTER(NumRounds, "am.rounds");
   AM_STAT_COUNTER(NumEliminated, "am.eliminated");
   AM_STAT_COUNTER(NumHoistRounds, "am.hoist_rounds");
-  AM_STAT_TIMER(FixpointTimer, "am.fixpoint_ns");
   AM_STAT_INC(NumFixpoints);
-  AM_STAT_TIME_SCOPE(FixpointTimer);
   AM_PROF_SCOPE("am.fixpoint");
-  trace::TraceSpan Span("am.fixpoint");
 
   // The phase provably terminates (Section 4.5); the hard cap below is a
   // defensive backstop far above the quadratic worst case.  Computed in
@@ -62,18 +58,12 @@ AmPhaseStats am::runAssignmentMotionPhase(FlowGraph &G, AmContext &Ctx,
     }
     if (Rec)
       Rec->snapshot(G, "aht", Stats.Iterations);
-    trace::instant("am.round", {{"round", Stats.Iterations},
-                                {"eliminated", Eliminated},
-                                {"hoisted", Hoisted ? 1 : 0}});
     if (Eliminated == 0 && !Hoisted)
       break;
   }
   AM_REMARK_SET_ROUND(0);
   if (Rec)
     Rec->setRound(0);
-  Span.arg("rounds", Stats.Iterations);
-  Span.arg("eliminated", Stats.Eliminated);
-  Span.arg("hoist_rounds", Stats.HoistRounds);
   return Stats;
 }
 

@@ -12,7 +12,6 @@
 #include "support/Profiler.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 using namespace am;
 
@@ -65,11 +64,9 @@ bool am::runFinalFlush(FlowGraph &G) {
   AM_STAT_COUNTER(NumInitsDeleted, "flush.inits_deleted");
   AM_STAT_COUNTER(NumInitsSunk, "flush.inits_sunk");
   AM_STAT_INC(NumFlushes);
-  trace::TraceSpan Span("flush.run");
 
   FlushAnalysis Analysis = FlushAnalysis::run(G);
   const FlushUniverse &U = Analysis.universe();
-  Span.arg("temps", U.size());
   if (report::RecorderSession *Rec = report::RecorderSession::current())
     Rec->captureFlush(G, Analysis);
   if (U.size() == 0)
@@ -239,8 +236,5 @@ bool am::runFinalFlush(FlowGraph &G) {
 
   AM_STAT_ADD(NumInitsDeleted, InitsDeleted);
   AM_STAT_ADD(NumInitsSunk, InitsSunk);
-  Span.arg("inits_deleted", InitsDeleted);
-  Span.arg("inits_sunk", InitsSunk);
-  Span.arg("changed", Changed ? 1 : 0);
   return Changed;
 }

@@ -13,7 +13,6 @@
 #include "support/Stats.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
-#include "support/Trace.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/AssignmentMotion.h"
 #include "transform/BusyCodeMotion.h"
@@ -65,12 +64,11 @@ uint64_t countAssignments(const FlowGraph &G) {
 }
 
 /// Captures registry counters and IR shape around one pass body, then
-/// fills in the delta fields of a PassRecord and the enclosing trace
-/// span's args.
+/// fills in the delta fields of a PassRecord.
 class PassScope {
 public:
   PassScope(const std::string &Name, const FlowGraph &G)
-      : Rec(), Prof(Name), Span("pipeline.pass") {
+      : Rec(), Prof(Name) {
     Rec.Name = Name;
     Rec.BlocksBefore = G.numBlocks();
     Rec.InstrsBefore = G.numInstrs();
@@ -83,7 +81,6 @@ public:
     AmHoist0 = Reg.counterValue("am.hoist_rounds");
     FlushDel0 = Reg.counterValue("flush.inits_deleted");
     FlushSunk0 = Reg.counterValue("flush.inits_sunk");
-    Span.arg("pass", Name);
     Start = std::chrono::steady_clock::now();
   }
 
@@ -106,15 +103,6 @@ public:
     Rec.FlushInitsDeleted =
         Reg.counterValue("flush.inits_deleted") - FlushDel0;
     Rec.FlushInitsSunk = Reg.counterValue("flush.inits_sunk") - FlushSunk0;
-    Span.arg("instrs_before", Rec.InstrsBefore);
-    Span.arg("instrs_after", Rec.InstrsAfter);
-    Span.arg("assigns_before", Rec.AssignsBefore);
-    Span.arg("assigns_after", Rec.AssignsAfter);
-    Span.arg("blocks_before", Rec.BlocksBefore);
-    Span.arg("blocks_after", Rec.BlocksAfter);
-    Span.arg("dfa_solves", Rec.DfaSolves);
-    Span.arg("dfa_blocks_processed", Rec.DfaBlocksProcessed);
-    Span.arg("detail", Rec.Detail);
     return Rec;
   }
 
@@ -124,7 +112,6 @@ private:
   /// ("rae", "analysis.redundancy", ...) nests beneath it, so the phase
   /// tree mirrors the pipeline structure.
   prof::Scope Prof;
-  trace::TraceSpan Span;
   std::chrono::steady_clock::time_point Start;
   uint64_t DfaSolves0 = 0, DfaBlocks0 = 0;
   uint64_t AmRounds0 = 0, AmElim0 = 0, AmHoist0 = 0;
@@ -375,8 +362,6 @@ PipelineResult am::runPipeline(const FlowGraph &G, const std::string &Spec,
   AM_STAT_COUNTER(NumPasses, "pipeline.passes");
   AM_STAT_COUNTER(NumRollbacks, "pipeline.rollbacks");
   AM_STAT_INC(NumPipelines);
-  trace::TraceSpan PipeSpan("pipeline.run");
-  PipeSpan.arg("spec", Spec);
 
   if (VerifyIR) {
     // A broken *input* is the caller's bug, not a pass's: report it as an

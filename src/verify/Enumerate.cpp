@@ -9,7 +9,6 @@
 #include "ir/Patterns.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 #include "transform/AssignmentHoisting.h"
 #include "transform/FinalFlush.h"
 #include "transform/Initialization.h"
@@ -75,15 +74,12 @@ EnumerationResult am::enumerateUniverse(const FlowGraph &G,
   AM_STAT_COUNTER(NumCandidates, "enumerate.candidates");
   AM_STAT_COUNTER(NumDistinctStates, "enumerate.states");
   AM_STAT_INC(NumEnumerations);
-  trace::TraceSpan Span("enumerate.universe");
 
   EnumerationResult Result;
   std::unordered_set<std::string> Seen;
   std::deque<std::pair<FlowGraph, unsigned>> Work;
-  uint64_t Candidates = 0;
 
   auto Push = [&](FlowGraph Member, unsigned Depth) {
-    ++Candidates;
     AM_STAT_INC(NumCandidates);
     if (Result.Members.size() >= Opts.MaxStates) {
       Result.Truncated = true;
@@ -124,8 +120,5 @@ EnumerationResult am::enumerateUniverse(const FlowGraph &G,
     for (FlowGraph &Next : Successors)
       Push(std::move(Next), Depth + 1);
   }
-  Span.arg("candidates", Candidates);
-  Span.arg("states", Result.Members.size());
-  Span.arg("truncated", Result.Truncated ? 1 : 0);
   return Result;
 }

@@ -11,6 +11,8 @@
 #include "ir/FlowGraph.h"
 #include "ir/Printer.h"
 #include "parser/Parser.h"
+#include "support/Json.h"
+#include "support/Profiler.h"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +77,63 @@ run(const FlowGraph &G,
   for (const auto &[Name, Value] : Inputs)
     Map.emplace(Name, Value);
   return Interpreter::execute(G, Map, Seed);
+}
+
+/// Checks \p Trace against the profiler it was exported from
+/// (Profiler::toChromeTraceJson): valid JSON, exactly one "X" event per
+/// non-root node, named as the node, in preorder, and every event's
+/// [ts, ts+dur] inside its parent node's event.
+inline ::testing::AssertionResult
+traceMatchesProfile(const prof::Profiler &P, const std::string &Trace) {
+  std::string Error;
+  std::unique_ptr<json::Value> Doc = json::parse(Trace, &Error);
+  if (!Doc)
+    return ::testing::AssertionFailure() << "invalid JSON: " << Error;
+  const json::Value *Events = Doc->find("traceEvents");
+  if (!Events || !Events->isArray())
+    return ::testing::AssertionFailure() << "no traceEvents array";
+  const std::vector<json::Value> &E = Events->array();
+  size_t Next = 0;
+  ::testing::AssertionResult Ok = ::testing::AssertionSuccess();
+  // Preorder over the tree; Parent is the event index of the enclosing
+  // node, or npos under the root.
+  auto Walk = [&](auto &&Self, uint32_t Id, size_t Parent) -> void {
+    for (uint32_t Child : P.node(Id).Children) {
+      if (!Ok)
+        return;
+      if (Next >= E.size()) {
+        Ok = ::testing::AssertionFailure() << "too few events";
+        return;
+      }
+      const json::Value &Ev = E[Next];
+      size_t Index = Next++;
+      uint64_t Ts = Ev.getU64("ts"), End = Ts + Ev.getU64("dur");
+      if (Ev.getString("name") != P.node(Child).Name ||
+          Ev.getString("ph") != "X") {
+        Ok = ::testing::AssertionFailure()
+             << "event " << Index << " is '" << Ev.getString("name")
+             << "', node is '" << P.node(Child).Name << "'";
+        return;
+      }
+      if (Parent != std::string::npos) {
+        uint64_t PTs = E[Parent].getU64("ts");
+        uint64_t PEnd = PTs + E[Parent].getU64("dur");
+        if (Ts < PTs || End > PEnd) {
+          Ok = ::testing::AssertionFailure()
+               << "event '" << P.node(Child).Name << "' [" << Ts << ", "
+               << End << "] escapes its parent [" << PTs << ", " << PEnd
+               << "]";
+          return;
+        }
+      }
+      Self(Self, Child, Index);
+    }
+  };
+  Walk(Walk, prof::Profiler::RootId, std::string::npos);
+  if (Ok && Next != E.size())
+    Ok = ::testing::AssertionFailure()
+         << E.size() << " events for " << Next << " nodes";
+  return Ok;
 }
 
 } // namespace am::test

@@ -79,17 +79,6 @@ TEST(Log2Buckets, PercentileMidpointsAndFallback) {
   EXPECT_EQ(stats::log2BucketPercentile(Buckets, 8, 10, 1.0, 999), 999u);
 }
 
-TEST(Log2Buckets, PercentileLabels) {
-  EXPECT_EQ(stats::percentileLabel(0.5), "p50");
-  EXPECT_EQ(stats::percentileLabel(0.95), "p95");
-  EXPECT_EQ(stats::percentileLabel(0.99), "p99");
-  EXPECT_EQ(stats::percentileLabel(0.999), "p99.9");
-  EXPECT_EQ(stats::percentileLabel(0.25), "p25");
-  EXPECT_EQ(stats::percentileLabel(0.0), "p0");
-  EXPECT_EQ(stats::percentileLabel(1.0), "p100");
-  EXPECT_EQ(stats::percentileLabel(2.0), "p100"); // clamped
-}
-
 TEST(Log2Buckets, HistogramMatchesHelpers) {
   fleet::Histogram H;
   for (uint64_t V : {uint64_t(0), uint64_t(1), uint64_t(2), uint64_t(1000),
@@ -104,22 +93,6 @@ TEST(Log2Buckets, HistogramMatchesHelpers) {
   EXPECT_EQ(H.bucket(fleet::Histogram::NumBuckets - 1), 1u); // clamped max
   // p20 -> rank 1 -> bucket 0 midpoint.
   EXPECT_EQ(H.percentile(0.2), 1u);
-}
-
-TEST(Log2Buckets, RegistryDumpPercentilesConfigurable) {
-  stats::Registry R;
-  stats::Timer &T = R.timer("unit.test_ns");
-  for (uint64_t Ns : {64ull, 96ull, 128ull, 4096ull})
-    T.record(Ns);
-  R.setDumpPercentiles({0.5, 0.999, 0.999 /* dup label dropped */, 2.0});
-  ASSERT_EQ(R.dumpPercentiles().size(), 3u); // 0.5, 0.999, clamped 1.0
-  std::ostringstream OS;
-  R.dumpJson(OS);
-  std::string J = OS.str();
-  EXPECT_NE(J.find("\"p50_ns\""), std::string::npos) << J;
-  EXPECT_NE(J.find("\"p99.9_ns\""), std::string::npos) << J;
-  EXPECT_NE(J.find("\"p100_ns\""), std::string::npos) << J;
-  EXPECT_EQ(J.find("\"p95_ns\""), std::string::npos) << J;
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,15 +9,13 @@
 #include "gen/RandomProgram.h"
 #include "interp/Equivalence.h"
 #include "support/Json.h"
-#include "support/Trace.h"
+#include "support/Profiler.h"
+#include "support/Telemetry.h"
 #include "transform/LocalValueNumbering.h"
 #include "transform/Pipeline.h"
 #include "transform/UniformEmAm.h"
 
 #include <gtest/gtest.h>
-
-#include <fstream>
-#include <sstream>
 
 using namespace am;
 using namespace am::test;
@@ -258,26 +256,23 @@ TEST(Pipeline, PassRecordsRenderAsValidJson) {
 }
 
 TEST(Pipeline, TraceOfAPipelineRunIsValidChromeTraceJson) {
-  trace::start();
+  telemetry::Session S;
+  telemetry::SessionScope Scope(S);
+  S.profiler().setEnabled(true);
   PipelineResult R = runPipeline(figure4(), "uniform");
   ASSERT_TRUE(R.ok());
-  std::string Path = testing::TempDir() + "pipeline_trace.json";
-  ASSERT_TRUE(trace::stopToFile(Path));
 
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  std::string Trace = Buf.str();
+  std::string Trace = S.profiler().toChromeTraceJson();
   std::string Error;
   EXPECT_TRUE(json::validate(Trace, &Error)) << Error;
-  // One span per pass, nested spans per dataflow solve, instants per AM
-  // fixpoint round.
-  EXPECT_NE(Trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(Trace.find("\"pipeline.pass\""), std::string::npos);
-  EXPECT_NE(Trace.find("\"dfa.solve\""), std::string::npos);
-  EXPECT_NE(Trace.find("\"am.round\""), std::string::npos);
-  EXPECT_NE(Trace.find("\"flush.run\""), std::string::npos);
+  EXPECT_TRUE(test::traceMatchesProfile(S.profiler(), Trace)) << Trace;
+  // One span per phase: the pipeline, its pass, the dataflow solves and
+  // the final flush.
+  for (const char *Span : {"pipeline", "uniform", "dfa.solve", "flush"})
+    EXPECT_NE(Trace.find("\"name\":\"" + std::string(Span) + "\""),
+              std::string::npos)
+        << Span << "\n"
+        << Trace;
 }
 
 TEST(Pipeline, RandomProgramsSurviveLongPipelines) {

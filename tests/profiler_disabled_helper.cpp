@@ -7,8 +7,8 @@
 // This translation unit is compiled with -DAM_DISABLE_STATS (see
 // tests/CMakeLists.txt): AM_PROF_SCOPE must expand to nothing, so the
 // scopes below can never create phase-tree nodes — even when the calling
-// test has *enabled* the session's profiler.  profiler_test.cpp asserts
-// exactly that.
+// test has *enabled* the session's profiler — and the Chrome export of
+// such a run has no events.  profiler_test.cpp asserts exactly that.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,8 @@
 #endif
 
 #include "support/Profiler.h"
+
+#include <string>
 
 namespace am::test {
 
@@ -32,6 +34,15 @@ size_t profileCompiledOutScopes() {
     }
   }
   return P.numNodes() - Before;
+}
+
+/// The Chrome export of the session profiler after compiled-out scopes
+/// ran: a valid document with zero events.
+std::string compiledOutChromeTrace() {
+  {
+    AM_PROF_SCOPE("test.compiled_out_traced");
+  }
+  return prof::Profiler::get().toChromeTraceJson();
 }
 
 } // namespace am::test

@@ -7,10 +7,11 @@
 // The hierarchical self-profiler (support/Profiler.h): phase-tree
 // construction, determinism of the tree shape across runs, zero cost when
 // disabled or compiled out, tolerance of unbalanced instrumentation, and
-// the JSON / collapsed-stack renderings.
+// the JSON / collapsed-stack / Chrome trace renderings.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "figures/PaperFigures.h"
 #include "ir/Printer.h"
 #include "support/Json.h"
@@ -21,13 +22,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace am;
 
 namespace am::test {
-size_t profileCompiledOutScopes(); // profiler_disabled_helper.cpp
+size_t profileCompiledOutScopes();       // profiler_disabled_helper.cpp
+std::string compiledOutChromeTrace(); // profiler_disabled_helper.cpp
 } // namespace am::test
 
 namespace {
@@ -100,7 +104,6 @@ TEST(ProfilerTest, AccumulatesWallTimeAndCalls) {
     EXPECT_GE(N.AllocBytes, 3 * 1024 * sizeof(int));
     EXPECT_GE(N.AllocCalls, 3u);
   }
-  EXPECT_GE(N.LastEndUs, N.FirstStartUs);
 }
 
 TEST(ProfilerTest, UnbalancedLeaveIsIgnored) {
@@ -199,6 +202,96 @@ TEST(ProfilerTest, CollapsedStacksJoinThePathWithSemicolons) {
   std::string Folded = P.prof().toCollapsedString();
   EXPECT_NE(Folded.find("a "), std::string::npos) << Folded;
   EXPECT_NE(Folded.find("a;b "), std::string::npos) << Folded;
+}
+
+/// The "traceEvents" array of a Chrome export.
+std::vector<json::Value> traceEvents(const std::string &Trace) {
+  std::unique_ptr<json::Value> Doc = json::parse(Trace);
+  if (!Doc || !Doc->find("traceEvents"))
+    return {};
+  return Doc->find("traceEvents")->array();
+}
+
+TEST(ProfilerTest, ChromeTraceIsThePreorderTreeNestedExactly) {
+  ProfiledSession P;
+  for (int I = 0; I < 2; ++I) {
+    AM_PROF_SCOPE("a");
+    {
+      AM_PROF_SCOPE("a1");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    {
+      AM_PROF_SCOPE("a2");
+      AM_PROF_SCOPE("a2x");
+    }
+  }
+  {
+    AM_PROF_SCOPE("b");
+  }
+  std::string Trace = P.prof().toChromeTraceJson();
+  EXPECT_TRUE(test::traceMatchesProfile(P.prof(), Trace)) << Trace;
+
+  std::vector<json::Value> E = traceEvents(Trace);
+  ASSERT_EQ(E.size(), 5u) << Trace;
+  std::vector<std::string> Names;
+  for (const json::Value &Ev : E)
+    Names.push_back(Ev.getString("name"));
+  EXPECT_EQ(Names,
+            (std::vector<std::string>{"a", "a1", "a2", "a2x", "b"}));
+  // The first child starts with its parent; siblings run back to back.
+  auto End = [](const json::Value &Ev) {
+    return Ev.getU64("ts") + Ev.getU64("dur");
+  };
+  EXPECT_EQ(E[0].getU64("ts"), 0u);
+  EXPECT_EQ(E[1].getU64("ts"), E[0].getU64("ts"));
+  EXPECT_EQ(E[2].getU64("ts"), End(E[1]));
+  EXPECT_EQ(E[4].getU64("ts"), End(E[0]));
+  // dur is the inclusive time (µs) and args carry the node's counts.
+  EXPECT_GE(E[1].getU64("dur"), 2000u); // two 1 ms sleeps
+  EXPECT_EQ(E[1].getU64("dur"), P.prof().node(2).WallNs / 1000);
+  const json::Value *Args = E[0].find("args");
+  ASSERT_NE(Args, nullptr);
+  EXPECT_EQ(Args->getU64("calls"), 2u);
+  EXPECT_EQ(Args->getU64("alloc_bytes"), P.prof().node(1).AllocBytes);
+  EXPECT_EQ(Args->getU64("alloc_calls"), P.prof().node(1).AllocCalls);
+}
+
+TEST(ProfilerTest, ChromeTraceClipsMergedWorkersToTheirParent) {
+  // Merged worker trees sum thread time, so a parent's children can add
+  // up to more than the parent's own wall time; the export must still
+  // nest.
+  prof::Profiler Worker;
+  Worker.setEnabled(true);
+  Worker.enter("slice");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  Worker.leave();
+  prof::Profiler Session;
+  Session.setEnabled(true);
+  Session.enter("solve");
+  Session.merge(Worker);
+  Session.merge(Worker);
+  Session.leave();
+  ASSERT_GT(Session.node(2).WallNs, Session.node(1).WallNs);
+  std::string Trace = Session.toChromeTraceJson();
+  EXPECT_TRUE(test::traceMatchesProfile(Session, Trace)) << Trace;
+}
+
+TEST(ProfilerTest, ChromeTraceOfAnEmptyProfilerIsValid) {
+  prof::Profiler Empty;
+  std::string Trace = Empty.toChromeTraceJson();
+  std::string Error;
+  EXPECT_TRUE(json::validate(Trace, &Error)) << Error << "\n" << Trace;
+  std::unique_ptr<json::Value> Doc = json::parse(Trace);
+  ASSERT_NE(Doc, nullptr);
+  ASSERT_NE(Doc->find("traceEvents"), nullptr);
+  EXPECT_TRUE(Doc->find("traceEvents")->array().empty());
+}
+
+TEST(ProfilerTest, CompiledOutScopesExportAnEmptyTrace) {
+  ProfiledSession P;
+  std::string Trace = am::test::compiledOutChromeTrace();
+  EXPECT_TRUE(json::validate(Trace)) << Trace;
+  EXPECT_TRUE(traceEvents(Trace).empty()) << Trace;
 }
 
 TEST(ProfilerTest, MergedTreeShapeIsSchedulingIndependent) {

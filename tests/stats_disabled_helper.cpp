@@ -27,8 +27,6 @@ void bumpCompiledOutStats() {
   AM_STAT_ADD(Ctr, 41);
   AM_STAT_GAUGE(Gauge, "test.compiled_out_gauge");
   AM_STAT_SET(Gauge, 7);
-  AM_STAT_TIMER(Tmr, "test.compiled_out_timer");
-  AM_STAT_TIME_SCOPE(Tmr);
 }
 
 bool compiledOutRemarksEnabled() {

@@ -1,4 +1,4 @@
-//===- tests/stats_test.cpp - Stats registry, JSON and tracing -*- C++ -*-===//
+//===- tests/stats_test.cpp - Stats registry and JSON ----------*- C++ -*-===//
 //
 // Part of the assignment-motion reproduction library.
 //
@@ -7,13 +7,10 @@
 #include "support/Json.h"
 #include "support/Remarks.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace am;
 using namespace am::stats;
@@ -26,7 +23,7 @@ bool compiledOutRemarksEnabled();
 } // namespace am::test
 
 //===----------------------------------------------------------------------===//
-// Counters, gauges, timers
+// Counters and gauges
 //===----------------------------------------------------------------------===//
 
 TEST(Stats, CounterAccumulatesAndResets) {
@@ -69,88 +66,11 @@ TEST(Stats, GaugeIsLastWriteWins) {
   EXPECT_EQ(Registry::get().findGauge("test.gauge")->get(), -4);
 }
 
-TEST(Stats, TimerRecordsCountTotalMinMaxAndBuckets) {
-  Timer &T = Registry::get().timer("test.timer_semantics");
-  T.reset();
-  T.record(100);  // log2 bucket 6
-  T.record(1000); // log2 bucket 9
-  T.record(10);   // log2 bucket 3
-  EXPECT_EQ(T.count(), 3u);
-  EXPECT_EQ(T.totalNs(), 1110u);
-  EXPECT_EQ(T.minNs(), 10u);
-  EXPECT_EQ(T.maxNs(), 1000u);
-  EXPECT_EQ(T.bucket(6), 1u);
-  EXPECT_EQ(T.bucket(9), 1u);
-  EXPECT_EQ(T.bucket(3), 1u);
-  T.reset();
-  EXPECT_EQ(T.count(), 0u);
-  EXPECT_EQ(T.minNs(), 0u); // empty timer reports 0, not UINT64_MAX
-}
-
-TEST(Stats, TimerScopeMeasuresElapsedTime) {
-  Timer &T = Registry::get().timer("test.timer_scope");
-  T.reset();
-  Registry::get().setEnabled(true);
-  {
-    TimerScope Scope(T);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(T.count(), 1u);
-  EXPECT_GE(T.totalNs(), 1000000u);
-}
-
-TEST(Stats, RuntimeDisabledTimerScopeIsANoOp) {
-  Timer &T = Registry::get().timer("test.timer_disabled");
-  T.reset();
-  Registry::get().setEnabled(false);
-  {
-    TimerScope Scope(T);
-  }
-  Registry::get().setEnabled(true);
-  EXPECT_EQ(T.count(), 0u);
-}
-
-TEST(Stats, TimerPercentilesFromLog2Buckets) {
-  Timer &T = Registry::get().timer("test.timer_percentiles");
-  T.reset();
-  EXPECT_EQ(T.percentileNs(0.5), 0u); // empty timer
-
-  T.record(10);   // bucket 3: [8, 16)
-  T.record(100);  // bucket 6: [64, 128)
-  T.record(1000); // bucket 9: [512, 1024)
-  // Nearest rank: p50 is the 2nd of 3 samples — bucket 6's midpoint.
-  EXPECT_EQ(T.percentileNs(0.5), 96u);
-  // p95 is the 3rd sample — bucket 9's midpoint.
-  EXPECT_EQ(T.percentileNs(0.95), 768u);
-  // Q=0 clamps to the first sample; Q=1 is the last.
-  EXPECT_EQ(T.percentileNs(0.0), 12u);
-  EXPECT_EQ(T.percentileNs(1.0), 768u);
-
-  T.reset();
-  T.record(0); // values 0 and 1 land in bucket 0: [0, 2)
-  EXPECT_EQ(T.percentileNs(0.5), 1u);
-}
-
-TEST(Stats, DumpsCarryPercentiles) {
-  Registry::get().resetAll();
-  Timer &T = Registry::get().timer("test.percentile_dump");
-  T.record(100);
-  std::string J = Registry::get().dumpJsonString();
-  std::string Error;
-  EXPECT_TRUE(json::validate(J, &Error)) << Error;
-  EXPECT_NE(J.find("\"p50_ns\":96"), std::string::npos) << J;
-  EXPECT_NE(J.find("\"p95_ns\":96"), std::string::npos) << J;
-  std::ostringstream OS;
-  Registry::get().dumpText(OS);
-  EXPECT_NE(OS.str().find("p50 ~96 ns"), std::string::npos) << OS.str();
-}
-
 TEST(Stats, CompiledOutMacrosRegisterNothing) {
   am::test::bumpCompiledOutStats();
   EXPECT_EQ(Registry::get().findCounter("test.compiled_out_counter"),
             nullptr);
   EXPECT_EQ(Registry::get().findGauge("test.compiled_out_gauge"), nullptr);
-  EXPECT_EQ(Registry::get().findTimer("test.compiled_out_timer"), nullptr);
   EXPECT_EQ(Registry::get().counterValue("test.compiled_out_counter"), 0u);
 }
 
@@ -182,24 +102,24 @@ TEST(Stats, JsonDumpIsValidAndRoundTripsValues) {
   Counter &C = Registry::get().counter("test.json.counter");
   C.reset();
   C.add(1234);
-  Registry::get().timer("test.json.timer").record(512);
   std::string J = Registry::get().dumpJsonString();
   std::string Error;
   EXPECT_TRUE(json::validate(J, &Error)) << Error;
-  // The dump carries the exact value and the timer sub-document.
+  // The dump carries the exact value; time lives in the profiler, so
+  // there is no timer section.
   EXPECT_NE(J.find("\"test.json.counter\":1234"), std::string::npos) << J;
-  EXPECT_NE(J.find("\"test.json.timer\""), std::string::npos);
-  EXPECT_NE(J.find("\"log2_buckets\""), std::string::npos);
+  EXPECT_NE(J.find("\"gauges\""), std::string::npos) << J;
+  EXPECT_EQ(J.find("\"timers\""), std::string::npos) << J;
 }
 
 TEST(Stats, ResetAllZeroesEverything) {
   Counter &C = Registry::get().counter("test.resetall.counter");
-  Timer &T = Registry::get().timer("test.resetall.timer");
+  Gauge &G = Registry::get().gauge("test.resetall.gauge");
   C.add(5);
-  T.record(99);
+  G.set(99);
   Registry::get().resetAll();
   EXPECT_EQ(C.get(), 0u);
-  EXPECT_EQ(T.count(), 0u);
+  EXPECT_EQ(G.get(), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -243,107 +163,4 @@ TEST(Json, ValidatorRejectsMalformedInput) {
        {"", "{", "}", "[1,]", "{\"a\"}", "{\"a\":}", "{a:1}", "01", "1.",
         "\"unterminated", "[1] trailing", "nul", "\"bad\\escape\""})
     EXPECT_FALSE(json::validate(Bad)) << Bad;
-}
-
-//===----------------------------------------------------------------------===//
-// Tracer
-//===----------------------------------------------------------------------===//
-
-TEST(Trace, DisabledByDefaultAndSpansAreInert) {
-  ASSERT_FALSE(trace::enabled());
-  {
-    trace::TraceSpan Span("never.recorded");
-    Span.arg("k", 1);
-    EXPECT_FALSE(Span.live());
-  }
-  trace::start();
-  std::string J = trace::stopToJson();
-  EXPECT_EQ(J.find("never.recorded"), std::string::npos);
-}
-
-TEST(Trace, CollectsSpansAndInstantsAsChromeTraceJson) {
-  trace::start();
-  EXPECT_TRUE(trace::enabled());
-  {
-    trace::TraceSpan Span("test.span");
-    Span.arg("bits", 64);
-    Span.arg("mode", "round-robin");
-    trace::instant("test.instant", {{"round", 3}});
-  }
-  std::string J = trace::stopToJson();
-  EXPECT_FALSE(trace::enabled());
-
-  std::string Error;
-  EXPECT_TRUE(json::validate(J, &Error)) << Error << "\n" << J;
-  EXPECT_NE(J.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(J.find("\"name\":\"test.span\""), std::string::npos);
-  EXPECT_NE(J.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(J.find("\"name\":\"test.instant\""), std::string::npos);
-  EXPECT_NE(J.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(J.find("\"bits\":64"), std::string::npos);
-  EXPECT_NE(J.find("\"mode\":\"round-robin\""), std::string::npos);
-  EXPECT_NE(J.find("\"round\":3"), std::string::npos);
-}
-
-TEST(Trace, StopToFileWritesTheJson) {
-  trace::start();
-  {
-    trace::TraceSpan Span("test.file_span");
-  }
-  std::string Path = testing::TempDir() + "am_trace_test.json";
-  ASSERT_TRUE(trace::stopToFile(Path));
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  std::string Error;
-  EXPECT_TRUE(json::validate(Buf.str(), &Error)) << Error;
-  EXPECT_NE(Buf.str().find("test.file_span"), std::string::npos);
-}
-
-TEST(Trace, StartClearsPreviousEvents) {
-  trace::start();
-  trace::instant("test.stale");
-  trace::start(); // restart without stopping
-  trace::instant("test.fresh");
-  std::string J = trace::stopToJson();
-  EXPECT_EQ(J.find("test.stale"), std::string::npos);
-  EXPECT_NE(J.find("test.fresh"), std::string::npos);
-}
-
-TEST(Trace, SessionWritesFileOnClose) {
-  std::string Path = testing::TempDir() + "am_trace_session.json";
-  {
-    trace::Session S(Path);
-    EXPECT_TRUE(S.open());
-    EXPECT_TRUE(trace::enabled());
-    trace::instant("test.session_event");
-    EXPECT_TRUE(S.close());
-    EXPECT_FALSE(S.open());
-    EXPECT_FALSE(trace::enabled());
-    // close() is idempotent: a second call reports failure, not a
-    // double write.
-    EXPECT_FALSE(S.close());
-  }
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  std::string Error;
-  EXPECT_TRUE(json::validate(Buf.str(), &Error)) << Error;
-  EXPECT_NE(Buf.str().find("test.session_event"), std::string::npos);
-}
-
-TEST(Trace, SessionDestructorFlushes) {
-  std::string Path = testing::TempDir() + "am_trace_session_dtor.json";
-  {
-    trace::Session S(Path);
-    trace::instant("test.session_dtor_event");
-  } // destructor closes and writes
-  EXPECT_FALSE(trace::enabled());
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  EXPECT_NE(Buf.str().find("test.session_dtor_event"), std::string::npos);
 }

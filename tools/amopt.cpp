@@ -25,11 +25,10 @@
 //   --stats        human-readable per-pass log + registry dump on stderr
 //   --stats=json   one JSON object on stderr: {"input": .., "output": ..,
 //                  "passes": [PassRecord...], "registry": {counters,
-//                  gauges, timers}}
-//   --trace=F      write a Chrome trace_event JSON file; open it in
-//                  about:tracing or https://ui.perfetto.dev — one span
-//                  per pass, nested spans per dataflow solve, instant
-//                  events per AM fixpoint round.
+//                  gauges}}
+//   --trace=F      write the self-profile's phase tree (see --profile) as
+//                  Chrome trace_event JSON; open it in about:tracing or
+//                  https://ui.perfetto.dev — one nested span per phase.
 //   --profile=F    write the hierarchical self-profile as JSON: a phase
 //                  tree (parse, each pass, each analysis, each dataflow
 //                  solve, emission) with wall time, call counts and
@@ -94,7 +93,6 @@
 #include "support/Stats.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
-#include "support/Trace.h"
 #include "transform/BusyCodeMotion.h"
 #include "transform/CopyPropagation.h"
 #include "transform/LazyCodeMotion.h"
@@ -142,13 +140,12 @@ int usage() {
                "of transforming.\n"
                "--stats reports per-pass IR deltas, timings and solver "
                "counters on stderr\n"
-               "(machine-readable with --stats=json).  --trace writes "
-               "Chrome trace_event JSON\n"
-               "for about:tracing / Perfetto.  --profile writes the "
-               "optimizer's self-profile\n"
-               "(phase tree + collapsed stacks) as JSON.  --remarks "
-               "records every "
-               "transformation decision\n"
+               "(machine-readable with --stats=json).  --profile writes "
+               "the optimizer's\n"
+               "self-profile (phase tree + collapsed stacks) as JSON; "
+               "--trace writes the same\n"
+               "tree as Chrome trace_event JSON for Perfetto.\n"
+               "--remarks records every transformation decision\n"
                "with its justifying dataflow facts; --explain renders an "
                "instruction's (or a\n"
                "variable's) provenance chain; --verify-remarks replays "
@@ -256,7 +253,8 @@ int main(int argc, char **argv) {
                        "stderr",
                        "json");
   Parser.option("--trace", TracePath,
-                "write Chrome trace_event JSON for about:tracing / Perfetto",
+                "write the self-profile's phase tree as Chrome "
+                "trace_event JSON (Perfetto)",
                 "out.json");
   Parser.option("--profile", ProfilePath,
                 "write the optimizer's self-profile (phase tree + "
@@ -434,57 +432,77 @@ int main(int argc, char **argv) {
   // free.
   telemetry::Session Job;
   telemetry::SessionScope JobScope(Job);
-  if (!ProfilePath.empty())
+  if (!ProfilePath.empty() || !TracePath.empty())
     prof::Profiler::get().setEnabled(true);
 
+  // Every exit from here on returns through Finish, which writes the
+  // profiler's tree to --profile and its Chrome export to --trace, so a
+  // failed run still leaves both on disk.  Neither touches stdout.
+  auto Finish = [&](int Rc) -> int {
+    const prof::Profiler &P = prof::Profiler::get();
+    auto Write = [&](const std::string &Path, const char *What,
+                     const std::string &Text) {
+      if (Path.empty())
+        return true;
+      std::ofstream Out(Path, std::ios::binary);
+      Out << Text << "\n";
+      if (!Out) {
+        std::fprintf(stderr, "amopt: cannot write %s '%s'\n", What,
+                     Path.c_str());
+        return false;
+      }
+      if (!Quiet && !(EmitStats && StatsJson))
+        std::fprintf(stderr, "amopt: %s written to %s\n", What,
+                     Path.c_str());
+      return true;
+    };
+    bool TraceOk = Write(TracePath, "trace", P.toChromeTraceJson());
+    bool ProfileOk = Write(ProfilePath, "profile", P.toJsonString());
+    return TraceOk && ProfileOk ? Rc : 1;
+  };
+
   FlowGraph Input;
+  int InputRc = 0; // 1: unreadable file, 2: parse error
   {
     AM_PROF_SCOPE("parse");
-    if (!File.empty()) {
-      std::ifstream In(File);
-      if (!In) {
-        std::fprintf(stderr, "amopt: cannot open '%s'\n", File.c_str());
-        return 1;
-      }
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      ParseResult R = parseProgram(Buf.str());
-      if (!R.ok()) {
-        std::fprintf(stderr, "amopt: %s: %s\n", File.c_str(),
-                     R.Error.c_str());
-        return 2;
-      }
-      Input = std::move(R.Graph);
-    } else if (!isatty(STDIN_FILENO)) {
-      std::ostringstream Buf;
-      Buf << std::cin.rdbuf();
-      ParseResult R = parseProgram(Buf.str());
-      if (!R.ok()) {
-        std::fprintf(stderr, "amopt: <stdin>: %s\n", R.Error.c_str());
-        return 2;
-      }
-      Input = std::move(R.Graph);
-    } else {
+    std::ifstream In;
+    if (!File.empty())
+      In.open(File);
+    if (!File.empty() && !In) {
+      std::fprintf(stderr, "amopt: cannot open '%s'\n", File.c_str());
+      InputRc = 1;
+    } else if (File.empty() && isatty(STDIN_FILENO)) {
       if (!Quiet)
         std::fprintf(
             stderr,
             "amopt: no input; optimizing the paper's running example\n");
       Input = figure4();
+    } else {
+      std::ostringstream Buf;
+      if (File.empty())
+        Buf << std::cin.rdbuf();
+      else
+        Buf << In.rdbuf();
+      ParseResult R = parseProgram(Buf.str());
+      if (R.ok()) {
+        Input = std::move(R.Graph);
+      } else {
+        std::fprintf(stderr, "amopt: %s: %s\n",
+                     File.empty() ? "<stdin>" : File.c_str(),
+                     R.Error.c_str());
+        InputRc = 2;
+      }
     }
   }
+  if (InputRc != 0)
+    return Finish(InputRc);
 
   if (!Annotation.empty()) {
     FlowGraph Prepared = Input;
     Prepared.splitCriticalEdges();
     std::fputs(annotate(Prepared, AnnotKind).c_str(), stdout);
-    return 0;
+    return Finish(0);
   }
-
-  // A Session both starts collection and guarantees the file is written
-  // even if a pass dies through exit() (std::atexit fallback).
-  std::optional<trace::Session> TraceSession;
-  if (!TracePath.empty())
-    TraceSession.emplace(TracePath);
 
   // Remark collection: number the input's instructions up front so every
   // original occurrence has a stable id before any pass observes it.
@@ -517,7 +535,6 @@ int main(int argc, char **argv) {
 #endif
   if (Record) {
     if (!StatsAvailable || std::getenv("AM_DISABLE_STATS")) {
-      stats::Registry::get().setEnabled(false);
       Recorder.setCaptureCounters(false);
       StatsAvailable = false;
     }
@@ -545,15 +562,13 @@ int main(int argc, char **argv) {
     RollbackCount = R.RollbackCount;
     LimitsExhausted = R.LimitsExhausted;
     if (!R.ok() && !R.LimitsExhausted) {
-      if (TraceSession)
-        TraceSession->close(); // flush what the partial run recorded
       std::fprintf(stderr, "amopt: %s\n",
                    R.Diag.empty() ? R.Error.c_str()
                                   : R.Diag.render().c_str());
       // Spec errors were caught up front; what remains is a bad input
       // graph (nothing ran: exit 2) or a --verify-ir violation after some
       // pass (exit 3).
-      return Records.empty() ? 2 : 3;
+      return Finish(Records.empty() ? 2 : 3);
     }
     if (LimitsExhausted)
       std::fprintf(stderr, "amopt: %s\n", R.Diag.render().c_str());
@@ -600,21 +615,6 @@ int main(int argc, char **argv) {
     Recorder.uninstall();
   }
 
-  if (TraceSession) {
-    if (!TraceSession->close()) {
-      std::fprintf(stderr, "amopt: cannot write trace '%s'\n",
-                   TracePath.c_str());
-      return 1;
-    }
-    // Keep stderr pure JSON under --stats=json so it can be piped
-    // straight into tooling.
-    if (!Quiet && !(EmitStats && StatsJson))
-      std::fprintf(stderr,
-                   "amopt: trace written to %s (open in about:tracing or "
-                   "ui.perfetto.dev)\n",
-                   TracePath.c_str());
-  }
-
   if (Verify) {
     // Run both programs on a battery of pseudo-random inputs and
     // nondeterministic paths; any divergence is an optimizer bug.
@@ -636,7 +636,7 @@ int main(int argc, char **argv) {
       }
     }
     if (Failures != 0)
-      return 3;
+      return Finish(3);
     // Under --stats=json the result is reported inside the JSON object
     // instead, keeping stderr machine-readable.
     if (!Quiet && !(EmitStats && StatsJson))
@@ -656,7 +656,7 @@ int main(int argc, char **argv) {
     if (!Out) {
       std::fprintf(stderr, "amopt: cannot write remarks '%s'\n",
                    RemarksPath.c_str());
-      return 1;
+      return Finish(1);
     }
     Out << remarks::Sink::get().toJsonString() << "\n";
   } else if (EmitRemarks) {
@@ -670,7 +670,7 @@ int main(int argc, char **argv) {
     if (!Out) {
       std::fprintf(stderr, "amopt: cannot write facts '%s'\n",
                    FactsPath.c_str());
-      return 1;
+      return Finish(1);
     }
     Out << Recorder.toJsonString(&AllRemarks) << "\n";
   }
@@ -686,7 +686,7 @@ int main(int argc, char **argv) {
     if (!Out) {
       std::fprintf(stderr, "amopt: cannot write report '%s'\n",
                    ReportPath.c_str());
-      return 1;
+      return Finish(1);
     }
     Out << report::renderHtmlReport(Recorder, Meta);
     if (!Quiet && !(EmitStats && StatsJson))
@@ -698,7 +698,7 @@ int main(int argc, char **argv) {
     for (const std::string &Line : RemarkReport.Failures)
       std::fprintf(stderr, "amopt: REMARK VERIFY FAILED: %s\n", Line.c_str());
     if (!RemarkReport.ok())
-      return 3;
+      return Finish(3);
     if (!Quiet && !(EmitStats && StatsJson))
       std::fprintf(stderr,
                    "amopt: remark verify OK (%u remarks replayed against "
@@ -759,22 +759,8 @@ int main(int argc, char **argv) {
   // Guarded outcomes dominate the exit code once every artifact is out.
   const int GuardRc = LimitsExhausted ? 4 : (RollbackCount != 0 ? 3 : 0);
 
-  // The profile is written after the "emit" scope closes so the phase
-  // tree covers emission too.  It goes to its own file: the program on
-  // stdout is byte-identical with or without --profile.
-  auto WriteProfile = [&]() -> bool {
-    if (ProfilePath.empty())
-      return true;
-    if (!prof::Profiler::get().writeJsonFile(ProfilePath)) {
-      std::fprintf(stderr, "amopt: cannot write profile '%s'\n",
-                   ProfilePath.c_str());
-      return false;
-    }
-    if (!Quiet && !(EmitStats && StatsJson))
-      std::fprintf(stderr, "amopt: profile written to %s\n",
-                   ProfilePath.c_str());
-    return true;
-  };
+  // The paths below call Finish after the "emit" scope closes, so the
+  // phase tree covers emission too.
 
   if (!Explain.empty()) {
     // Provenance chains replace the program on stdout.
@@ -791,7 +777,7 @@ int main(int argc, char **argv) {
                    "amopt: nothing to explain for '%s' (no remark mentions "
                    "it)\n",
                    Explain.c_str());
-      return 1;
+      return Finish(1);
     }
     // One chain per lineage family: ids whose family was already rendered
     // are skipped so a variable's history is not repeated per member.
@@ -806,9 +792,7 @@ int main(int argc, char **argv) {
               .c_str(),
           stdout);
     }
-    if (!WriteProfile())
-      return 1;
-    return GuardRc;
+    return Finish(GuardRc);
   }
 
   if (EmitDot && CollectRemarks) {
@@ -821,9 +805,7 @@ int main(int argc, char **argv) {
       AM_PROF_SCOPE("emit");
       std::fputs(printDot(Output, Pass, Note).c_str(), stdout);
     }
-    if (!WriteProfile())
-      return 1;
-    return GuardRc;
+    return Finish(GuardRc);
   }
 
   {
@@ -832,7 +814,5 @@ int main(int argc, char **argv) {
                        : printGraph(Output).c_str(),
                stdout);
   }
-  if (!WriteProfile())
-    return 1;
-  return GuardRc;
+  return Finish(GuardRc);
 }
