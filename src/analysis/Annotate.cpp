@@ -10,6 +10,7 @@
 #include "ir/Patterns.h"
 #include "ir/Printer.h"
 
+#include <span>
 #include <sstream>
 
 using namespace am;
@@ -41,18 +42,18 @@ std::string annotateRedundancy(const FlowGraph &G) {
   auto Name = [&](size_t Idx) { return patternName(G, Pats.pattern(Idx)); };
 
   std::ostringstream OS;
+  FactWalk Walk;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     OS << "b" << B << ":\n";
-    DataflowResult::InstrFacts F = An.facts(B);
-    for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx) {
+    An.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                         const BitVector &) {
       const Instr &I = G.block(B).Instrs[Idx];
       OS << "  " << printInstr(I, G.Vars);
       size_t Pat = Pats.occurrence(I);
-      if (Pat != AssignPatternTable::npos && F.Before[Idx].test(Pat))
+      if (Pat != AssignPatternTable::npos && Before.test(Pat))
         OS << "    ;; REDUNDANT";
-      OS << "\n    ;; redundant here: " << setToString(F.Before[Idx], Name)
-         << "\n";
-    }
+      OS << "\n    ;; redundant here: " << setToString(Before, Name) << "\n";
+    });
   }
   return OS.str();
 }
@@ -101,26 +102,37 @@ std::string annotateFlush(const FlowGraph &G) {
     OS << (Idx ? ", " : "") << Name(Idx) << " := "
        << printTerm(U.expr(Idx), G.Vars);
   OS << "\n";
+  FactWalk Walk;
+  FlushAnalysis::BlockPlan Plan;
+  std::vector<std::string> UsableAfter;
+  auto Names = [&](std::span<const uint32_t> Temps) {
+    std::string S;
+    for (uint32_t Idx : Temps)
+      S += (S.empty() ? "" : ", ") + Name(Idx);
+    return S;
+  };
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     OS << "b" << B << ":\n";
-    DataflowResult::InstrFacts Delay = An.delayability().instrFacts(B);
-    DataflowResult::InstrFacts Usable = An.usability().instrFacts(B);
-    FlushAnalysis::BlockPlan Plan = An.plan(B);
-    for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx) {
-      if (Plan.InitBefore[Idx].any())
-        OS << "  ;; INIT: " << setToString(Plan.InitBefore[Idx], Name)
-           << "\n";
+    // Usability runs backward: keep its per-instruction text for the
+    // forward listing below.
+    UsableAfter.assign(G.block(B).Instrs.size(), "");
+    An.usability().walk(
+        B, Walk, [&](size_t Idx, const BitVector &, const BitVector &After) {
+          UsableAfter[Idx] = setToString(After, Name);
+        });
+    An.plan(B, Plan);
+    An.delayability().walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                                        const BitVector &) {
+      if (!Plan.initBefore(Idx).empty())
+        OS << "  ;; INIT: " << Names(Plan.initBefore(Idx)) << "\n";
       OS << "  " << printInstr(G.block(B).Instrs[Idx], G.Vars);
-      if (Plan.Reconstruct[Idx].any())
-        OS << "    ;; RECONSTRUCT "
-           << setToString(Plan.Reconstruct[Idx], Name);
-      OS << "\n    ;; delayable: " << setToString(Delay.Before[Idx], Name)
-         << "  usable-after: " << setToString(Usable.After[Idx], Name)
-         << "\n";
-    }
-    if (Plan.InitAtExit.any())
-      OS << "  ;; INIT-AT-EXIT: " << setToString(Plan.InitAtExit, Name)
-         << "\n";
+      if (!Plan.reconstruct(Idx).empty())
+        OS << "    ;; RECONSTRUCT " << Names(Plan.reconstruct(Idx));
+      OS << "\n    ;; delayable: " << setToString(Before, Name)
+         << "  usable-after: " << UsableAfter[Idx] << "\n";
+    });
+    if (!Plan.InitAtExit.empty())
+      OS << "  ;; INIT-AT-EXIT: " << Names(Plan.InitAtExit) << "\n";
   }
   return OS.str();
 }
@@ -132,12 +144,18 @@ std::string annotateLiveness(const FlowGraph &G) {
   };
 
   std::ostringstream OS;
+  FactWalk Walk;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     OS << "b" << B << ":\n";
-    DataflowResult::InstrFacts F = An.facts(B);
-    for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx)
-      OS << "  " << printInstr(G.block(B).Instrs[Idx], G.Vars)
-         << "\n    ;; live: " << setToString(F.Before[Idx], Name) << "\n";
+    // Liveness runs backward: collect the lines, print them forward.
+    std::vector<std::string> Lines(G.block(B).Instrs.size());
+    An.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                         const BitVector &) {
+      Lines[Idx] = "  " + printInstr(G.block(B).Instrs[Idx], G.Vars) +
+                   "\n    ;; live: " + setToString(Before, Name) + "\n";
+    });
+    for (const std::string &L : Lines)
+      OS << L;
     OS << "  ;; live-out: " << setToString(An.liveOut(B), Name) << "\n";
   }
   return OS.str();

@@ -56,9 +56,10 @@ public:
 
   const CopyUniverse &universe() const { return *U; }
 
-  /// Per-instruction reaching facts of \p B.
-  DataflowResult::InstrFacts facts(BlockId B) const {
-    return Result.instrFacts(B);
+  /// Per-instruction reaching facts of \p B, replayed in program order
+  /// (see DataflowResult::walk).
+  template <typename Fn> void walk(BlockId B, FactWalk &S, Fn &&Visit) const {
+    Result.walk(B, S, Visit);
   }
 
 private:

@@ -19,9 +19,10 @@ LifetimeStats am::computeLifetimeStats(const FlowGraph &G) {
     if (G.Vars.isTemp(makeVarId(V)))
       TempMask.set(V);
 
+  BitVector LiveTemps;
   auto Note = [&](const BitVector &LiveSet) {
     Stats.TotalLifetimePoints += LiveSet.count();
-    BitVector LiveTemps = LiveSet;
+    LiveTemps = LiveSet;
     LiveTemps &= TempMask;
     size_t N = LiveTemps.count();
     Stats.TempLifetimePoints += N;
@@ -29,12 +30,12 @@ LifetimeStats am::computeLifetimeStats(const FlowGraph &G) {
                                   static_cast<uint32_t>(N));
   };
 
+  FactWalk Walk;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    DataflowResult::InstrFacts F = Live.facts(B);
     // Count the point before every instruction plus the block exit; empty
     // blocks contribute their single entry/exit point.
-    for (const BitVector &V : F.Before)
-      Note(V);
+    Live.walk(B, Walk, [&](size_t, const BitVector &Before,
+                           const BitVector &) { Note(Before); });
     Note(Live.liveOut(B));
     for (const Instr &I : G.block(B).Instrs)
       if (I.isAssign() && G.Vars.isTemp(I.Lhs))

@@ -31,9 +31,10 @@ public:
   const BitVector &liveIn(BlockId B) const { return Result.entry(B); }
   const BitVector &liveOut(BlockId B) const { return Result.exit(B); }
 
-  /// Per-instruction liveness facts of \p B.
-  DataflowResult::InstrFacts facts(BlockId B) const {
-    return Result.instrFacts(B);
+  /// Per-instruction liveness facts of \p B, replayed in reverse program
+  /// order (see DataflowResult::walk).
+  template <typename Fn> void walk(BlockId B, FactWalk &S, Fn &&Visit) const {
+    Result.walk(B, S, Visit);
   }
 
 private:

@@ -8,6 +8,9 @@
 #include "support/Profiler.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <bit>
+
 using namespace am;
 
 namespace {
@@ -89,12 +92,9 @@ public:
   }
 
   void kill(BlockId, size_t, const Instr &I, BitVector &Out) const override {
-    // thread_local (not a member): kill() is invoked concurrently from
-    // the transfer-composition workers, which share one problem instance.
-    static thread_local BitVector Tmp;
     U.used(I, Out);
-    U.blocked(I, Tmp);
-    Out |= Tmp;
+    for (uint32_t Idx : U.blockedBy(I.definedVar()))
+      Out.set(Idx);
   }
 
 private:
@@ -176,6 +176,7 @@ void HoistLocalPredicates::computeBlock(const FlowGraph &G,
 void HoistLocalPredicates::refresh(const FlowGraph &G,
                                    const AssignPatternTable &Pats,
                                    uint64_t PatsGen) {
+  AM_PROF_SCOPE("hoist.locals");
   size_t NumBlocks = G.numBlocks();
   bool Incremental = Valid && CachedG == &G && CachedGen == PatsGen &&
                      CachedBits == Pats.size() &&
@@ -236,26 +237,27 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
   return A;
 }
 
-BitVector HoistabilityAnalysis::entryInsert(BlockId B) const {
-  BitVector Insert = entryHoistable(B);
+void HoistabilityAnalysis::entryInsert(BlockId B, BitVector &Out) const {
+  Out = entryHoistable(B);
   if (B == G->start())
     // The start node has no predecessors: its entry is the hoisting
     // frontier for everything still hoistable there.
-    return Insert;
-  BitVector AnyPredStops(Insert.size());
-  for (BlockId P : G->block(B).Preds) {
-    BitVector NotHoistable = exitHoistable(P);
-    NotHoistable.flipAll();
-    AnyPredStops |= NotHoistable;
+    return;
+  const auto &Preds = G->block(B).Preds;
+  for (size_t W = 0, E = Out.numWords(); W != E; ++W) {
+    uint64_t Insert = Out.word(W);
+    if (Insert == 0)
+      continue;
+    uint64_t AnyPredStops = 0;
+    for (BlockId P : Preds)
+      AnyPredStops |= ~exitHoistable(P).word(W);
+    Out.setWord(W, Insert & AnyPredStops);
   }
-  Insert &= AnyPredStops;
-  return Insert;
 }
 
-BitVector HoistabilityAnalysis::exitInsert(BlockId B) const {
-  BitVector Insert = exitHoistable(B);
-  Insert &= locBlocked(B);
-  return Insert;
+void HoistabilityAnalysis::exitInsert(BlockId B, BitVector &Out) const {
+  Out = exitHoistable(B);
+  Out &= locBlocked(B);
 }
 
 //===----------------------------------------------------------------------===//
@@ -280,6 +282,20 @@ void FlushUniverse::build(const FlowGraph &G) {
       Temps.push_back({I.Lhs, I.Rhs});
     }
   }
+
+  // blockedBy() per variable.  Visiting temps in index order keeps every
+  // list ascending; the back() check dedupes a variable occurring twice
+  // in one temp (`a + a`).
+  BlockedByVar.assign(G.Vars.size(), {});
+  for (uint32_t Idx = 0; Idx < Temps.size(); ++Idx) {
+    auto Note = [&](VarId V) {
+      std::vector<uint32_t> &List = BlockedByVar[index(V)];
+      if (List.empty() || List.back() != Idx)
+        List.push_back(Idx);
+    };
+    Note(Temps[Idx].Var);
+    Temps[Idx].Expr.forEachVar(Note);
+  }
 }
 
 size_t FlushUniverse::indexOfTemp(VarId V) const {
@@ -287,12 +303,17 @@ size_t FlushUniverse::indexOfTemp(VarId V) const {
   return Idx < VarToIdx.size() ? VarToIdx[Idx] : npos;
 }
 
+size_t FlushUniverse::instOf(const Instr &I) const {
+  if (!I.isAssign())
+    return npos;
+  size_t Idx = indexOfTemp(I.Lhs);
+  return Idx != npos && I.Rhs == Temps[Idx].Expr ? Idx : npos;
+}
+
 void FlushUniverse::isInst(const Instr &I, BitVector &Out) const {
   Out.clearAndResize(Temps.size());
-  if (!I.isAssign())
-    return;
-  size_t Idx = indexOfTemp(I.Lhs);
-  if (Idx != npos && I.Rhs == Temps[Idx].Expr)
+  size_t Idx = instOf(I);
+  if (Idx != npos)
     Out.set(Idx);
 }
 
@@ -305,15 +326,10 @@ void FlushUniverse::used(const Instr &I, BitVector &Out) const {
   });
 }
 
-void FlushUniverse::blocked(const Instr &I, BitVector &Out) const {
-  Out.clearAndResize(Temps.size());
-  VarId Def = I.definedVar();
-  if (!isValid(Def))
-    return;
-  for (size_t Idx = 0; Idx < Temps.size(); ++Idx) {
-    if (Temps[Idx].Var == Def || Temps[Idx].Expr.usesVar(Def))
-      Out.set(Idx);
-  }
+std::span<const uint32_t> FlushUniverse::blockedBy(VarId V) const {
+  size_t Idx = index(V);
+  return Idx < BlockedByVar.size() ? std::span<const uint32_t>(BlockedByVar[Idx])
+                                   : std::span<const uint32_t>();
 }
 
 //===----------------------------------------------------------------------===//
@@ -338,42 +354,76 @@ FlushAnalysis FlushAnalysis::run(const FlowGraph &G) {
   return A;
 }
 
-FlushAnalysis::BlockPlan FlushAnalysis::plan(BlockId B) const {
+void FlushAnalysis::plan(BlockId B, BlockPlan &Out) const {
   const FlushUniverse &U = *UniversePtr;
   const auto &Instrs = G->block(B).Instrs;
-  DataflowResult::InstrFacts D = Delay.instrFacts(B);
-  DataflowResult::InstrFacts Us = Usable.instrFacts(B);
 
-  BlockPlan Plan;
-  Plan.InitBefore.resize(Instrs.size());
-  Plan.Reconstruct.resize(Instrs.size());
-
-  BitVector Used = U.makeVector(), Blocked = U.makeVector();
-  for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-    U.used(Instrs[Idx], Used);
-    U.blocked(Instrs[Idx], Blocked);
-    // N-LATEST = N-DELAYABLE* · (USED + BLOCKED).
-    BitVector NLatest = D.Before[Idx];
-    NLatest &= (Used | Blocked);
-    // N-INIT = N-LATEST · X-USABLE;  RECONSTRUCT = USED · N-LATEST ·
-    // ¬X-USABLE (usability *after* the instruction: its own use does not
-    // justify an initialization by itself).
-    const BitVector &XUsable = Us.After[Idx];
-    Plan.InitBefore[Idx] = NLatest & XUsable;
-    Plan.Reconstruct[Idx] = Used & NLatest & ~XUsable;
+  // N-LATEST = N-DELAYABLE* · (USED + BLOCKED) can only hold at an
+  // instruction's USED ∪ BLOCKED candidates: collect them, ascending.
+  Cands.clear();
+  CandOff.assign(1, 0);
+  for (const Instr &I : Instrs) {
+    size_t First = Cands.size();
+    for (uint32_t Idx : U.blockedBy(I.definedVar()))
+      Cands.push_back(Candidate{Idx, false, false});
+    I.forEachUsedVar([&](VarId V) {
+      size_t Idx = U.indexOfTemp(V);
+      if (Idx == FlushUniverse::npos)
+        return;
+      auto It = std::lower_bound(
+          Cands.begin() + static_cast<std::ptrdiff_t>(First), Cands.end(),
+          Idx, [](const Candidate &C, size_t T) { return C.Temp < T; });
+      if (It == Cands.end() || It->Temp != Idx)
+        It = Cands.insert(It, Candidate{static_cast<uint32_t>(Idx), false, false});
+      It->Used = true;
+    });
+    CandOff.push_back(static_cast<uint32_t>(Cands.size()));
   }
 
+  // X-USABLE at the candidates (usability *after* the instruction: its
+  // own use does not justify an initialization by itself).
+  Usable.walk(B, Walk,
+              [&](size_t Idx, const BitVector &, const BitVector &After) {
+                for (uint32_t C = CandOff[Idx]; C != CandOff[Idx + 1]; ++C)
+                  Cands[C].XUsable = After.test(Cands[C].Temp);
+              });
+
+  // N-INIT = N-LATEST · X-USABLE;  RECONSTRUCT = USED · N-LATEST ·
+  // ¬X-USABLE.
+  Out.Off.assign(1, 0);
+  Out.Temps.clear();
+  Delay.walk(B, Walk,
+             [&](size_t Idx, const BitVector &Before, const BitVector &) {
+               uint32_t Begin = CandOff[Idx], End = CandOff[Idx + 1];
+               for (uint32_t C = Begin; C != End; ++C)
+                 if (Cands[C].XUsable && Before.test(Cands[C].Temp))
+                   Out.Temps.push_back(Cands[C].Temp);
+               Out.Off.push_back(static_cast<uint32_t>(Out.Temps.size()));
+               for (uint32_t C = Begin; C != End; ++C)
+                 if (Cands[C].Used && !Cands[C].XUsable &&
+                     Before.test(Cands[C].Temp))
+                   Out.Temps.push_back(Cands[C].Temp);
+               Out.Off.push_back(static_cast<uint32_t>(Out.Temps.size()));
+             });
+
+  exitInits(B, Out.InitAtExit);
+}
+
+void FlushAnalysis::exitInits(BlockId B, std::vector<uint32_t> &Out) const {
   // X-LATEST = X-DELAYABLE* · ∃succ ¬N-DELAYABLE*, guarded by usability at
   // the exit so dead initializations vanish instead of being inserted.
-  BitVector InitAtExit = Delay.exit(B);
-  BitVector AnySuccStops(U.size());
-  for (BlockId S : G->block(B).Succs) {
-    BitVector NotDelay = Delay.entry(S);
-    NotDelay.flipAll();
-    AnySuccStops |= NotDelay;
+  Out.clear();
+  const auto &Succs = G->block(B).Succs;
+  const BitVector &DelayExit = Delay.exit(B);
+  const BitVector &UsableExit = Usable.exit(B);
+  for (size_t W = 0, E = DelayExit.numWords(); W != E; ++W) {
+    uint64_t Bits = DelayExit.word(W) & UsableExit.word(W);
+    if (Bits == 0)
+      continue;
+    uint64_t AnySuccStops = 0;
+    for (BlockId S : Succs)
+      AnySuccStops |= ~Delay.entry(S).word(W);
+    for (Bits &= AnySuccStops; Bits != 0; Bits &= Bits - 1)
+      Out.push_back(static_cast<uint32_t>(W * 64 + std::countr_zero(Bits)));
   }
-  InitAtExit &= AnySuccStops;
-  InitAtExit &= Usable.exit(B);
-  Plan.InitAtExit = InitAtExit;
-  return Plan;
 }

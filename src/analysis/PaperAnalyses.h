@@ -30,7 +30,9 @@
 #include "dfa/Dataflow.h"
 #include "ir/Patterns.h"
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 namespace am {
 
@@ -56,9 +58,10 @@ public:
                                 const AssignPatternTable &Pats,
                                 DataflowSolver &Solver, uint64_t PatsGen);
 
-  /// N-/X-REDUNDANT at every instruction boundary of \p B.
-  DataflowResult::InstrFacts facts(BlockId B) const {
-    return Result.instrFacts(B);
+  /// N-/X-REDUNDANT at every instruction boundary of \p B, replayed in
+  /// program order (see DataflowResult::walk).
+  template <typename Fn> void walk(BlockId B, FactWalk &S, Fn &&Visit) const {
+    Result.walk(B, S, Visit);
   }
 
   const BitVector &entry(BlockId B) const { return Result.entry(B); }
@@ -148,12 +151,24 @@ public:
     return Locals->locHoistable(B);
   }
 
-  /// N-INSERT: patterns to insert at the entry of \p B.  The start node's
-  /// entry is the hoisting frontier when hoistability reaches it.
-  BitVector entryInsert(BlockId B) const;
+  /// N-INSERT: patterns to insert at the entry of \p B, written into
+  /// \p Out (whose storage is reused).  The start node's entry is the
+  /// hoisting frontier when hoistability reaches it.
+  void entryInsert(BlockId B, BitVector &Out) const;
 
-  /// X-INSERT: patterns to insert at the exit of \p B.
-  BitVector exitInsert(BlockId B) const;
+  /// X-INSERT: patterns to insert at the exit of \p B, into \p Out.
+  void exitInsert(BlockId B, BitVector &Out) const;
+
+  BitVector entryInsert(BlockId B) const {
+    BitVector Out;
+    entryInsert(B, Out);
+    return Out;
+  }
+  BitVector exitInsert(BlockId B) const {
+    BitVector Out;
+    exitInsert(B, Out);
+    return Out;
+  }
 
   /// The raw solution, for tests.
   const DataflowResult &result() const { return Result; }
@@ -190,12 +205,18 @@ public:
   /// IS-INST: the temporaries whose initialization \p I is an instance of.
   void isInst(const Instr &I, BitVector &Out) const;
 
+  /// The one temporary whose initialization \p I is an instance of, or
+  /// npos (IS-INST as an index).
+  size_t instOf(const Instr &I) const;
+
   /// USED: the temporaries \p I reads.
   void used(const Instr &I, BitVector &Out) const;
 
-  /// BLOCKED: the temporaries h_e whose initialization cannot be moved
-  /// (sunk) across \p I: an operand of e or h_e itself is modified.
-  void blocked(const Instr &I, BitVector &Out) const;
+  /// BLOCKED of an instruction defining \p V: the temporaries h_e whose
+  /// initialization cannot be moved (sunk) across it, because h_e itself
+  /// or an operand of e is modified — every h_e with h_e == V or V an
+  /// operand of e, ascending.
+  std::span<const uint32_t> blockedBy(VarId V) const;
 
   BitVector makeVector() const { return BitVector(Temps.size()); }
 
@@ -206,6 +227,7 @@ private:
   };
   std::vector<TempInfo> Temps;
   std::vector<size_t> VarToIdx; // dense var index -> temp index or npos
+  std::vector<std::vector<uint32_t>> BlockedByVar; // blockedBy(), per var
 };
 
 /// Delayability + usability facts (Table 3) with the derived latestness
@@ -217,20 +239,36 @@ public:
   const FlushUniverse &universe() const { return *UniversePtr; }
 
   /// Placement decisions for one block, index-aligned with its
-  /// instructions at the time of analysis.
+  /// instructions at the time of analysis.  Sparse: each instruction
+  /// lists the (ascending) temp indices it places, in one CSR.
   struct BlockPlan {
-    /// For instruction i, temps whose init goes immediately before i
-    /// (N-INIT).
-    std::vector<BitVector> InitBefore;
-    /// Temps whose use in instruction i is reconstructed to the original
-    /// expression (RECONSTRUCT).
-    std::vector<BitVector> Reconstruct;
-    /// Temps whose init goes at the block's exit (X-INIT).
-    BitVector InitAtExit;
+    /// Instruction i's N-INIT temps (inits immediately before i) are
+    /// Temps[Off[2i] .. Off[2i+1]); its RECONSTRUCT temps (uses rewritten
+    /// to the original expression) are Temps[Off[2i+1] .. Off[2i+2]).
+    std::vector<uint32_t> Off;
+    std::vector<uint32_t> Temps;
+    /// Temps whose init goes at the block's exit (X-INIT), ascending.
+    std::vector<uint32_t> InitAtExit;
+
+    size_t numInstrs() const { return Off.empty() ? 0 : Off.size() / 2; }
+    std::span<const uint32_t> initBefore(size_t I) const {
+      return {Temps.data() + Off[2 * I], Temps.data() + Off[2 * I + 1]};
+    }
+    std::span<const uint32_t> reconstruct(size_t I) const {
+      return {Temps.data() + Off[2 * I + 1], Temps.data() + Off[2 * I + 2]};
+    }
   };
 
-  /// Computes the full placement plan for block \p B.
-  BlockPlan plan(BlockId B) const;
+  /// Computes the placement plan for block \p B into \p Out (whose
+  /// storage is reused).  Not thread-safe: it reuses the analysis' walk
+  /// scratch.
+  void plan(BlockId B, BlockPlan &Out) const;
+
+  BlockPlan plan(BlockId B) const {
+    BlockPlan Out;
+    plan(B, Out);
+    return Out;
+  }
 
   /// Raw delayability facts (greatest solution), for tests.
   const DataflowResult &delayability() const { return Delay; }
@@ -245,6 +283,21 @@ private:
   std::unique_ptr<DataflowProblem> UsableProblem;
   DataflowResult Delay;
   DataflowResult Usable;
+
+  /// X-INIT of \p B (ascending) into \p Out.
+  void exitInits(BlockId B, std::vector<uint32_t> &Out) const;
+
+  /// One USED ∪ BLOCKED candidate of an instruction: the only temps its
+  /// N-LATEST (and so N-INIT / RECONSTRUCT) can contain.
+  struct Candidate {
+    uint32_t Temp;
+    bool Used;
+    bool XUsable;
+  };
+  // plan() scratch, reused across calls.
+  mutable FactWalk Walk;
+  mutable std::vector<Candidate> Cands;
+  mutable std::vector<uint32_t> CandOff;
 };
 
 } // namespace am

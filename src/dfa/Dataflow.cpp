@@ -99,6 +99,7 @@ void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
 DataflowResult DataflowSolver::snapshot(const FlowGraph &G,
                                         const DataflowProblem &P,
                                         bool Forward) const {
+  AM_PROF_SCOPE("dfa.export");
   DataflowResult R;
   R.G = &G;
   R.Problem = &P;
@@ -227,40 +228,4 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
 DataflowResult am::solve(const FlowGraph &G, const DataflowProblem &P) {
   DataflowSolver Solver;
   return Solver.solve(G, P);
-}
-
-DataflowResult::InstrFacts DataflowResult::instrFacts(BlockId B) const {
-  assert(G && Problem && "result not produced by solve()");
-  const auto &Instrs = G->block(B).Instrs;
-  size_t N = Instrs.size();
-  size_t Bits = Problem->numBits();
-  InstrFacts F;
-  F.Before.resize(N);
-  F.After.resize(N);
-  BitVector Gen(Bits), Kill(Bits);
-
-  if (Problem->direction() == Direction::Forward) {
-    BitVector Cur = Entry[B];
-    for (size_t Idx = 0; Idx < N; ++Idx) {
-      F.Before[Idx] = Cur;
-      Problem->gen(B, Idx, Instrs[Idx], Gen);
-      Problem->kill(B, Idx, Instrs[Idx], Kill);
-      Cur.andNot(Kill);
-      Cur |= Gen;
-      F.After[Idx] = Cur;
-    }
-    assert(N == 0 || F.After[N - 1] == Exit[B]);
-  } else {
-    BitVector Cur = Exit[B];
-    for (size_t Idx = N; Idx-- > 0;) {
-      F.After[Idx] = Cur;
-      Problem->gen(B, Idx, Instrs[Idx], Gen);
-      Problem->kill(B, Idx, Instrs[Idx], Kill);
-      Cur.andNot(Kill);
-      Cur |= Gen;
-      F.Before[Idx] = Cur;
-    }
-    assert(N == 0 || F.Before[0] == Entry[B]);
-  }
-  return F;
 }

@@ -293,7 +293,10 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     OutM.reshape(NumPos + 1, Bits);
     InM.reshape(NumPos + 1, Bits);
   }
-  Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
+  {
+    AM_PROF_SCOPE("dfa.refresh");
+    Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
+  }
 
   const size_t GW = LaneM.width();
   size_t NumGroups = LaneM.groups();

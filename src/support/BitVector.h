@@ -222,6 +222,21 @@ public:
     return *this;
   }
 
+  /// One gen/kill transfer in a single pass: this = (In & ~Kill) | Gen,
+  /// taking In's size.  Sizes of the operands must match.
+  void assignTransfer(const BitVector &In, const BitVector &Kill,
+                      const BitVector &Gen) {
+    assert(In.NumBits == Kill.NumBits && In.NumBits == Gen.NumBits &&
+           "size mismatch");
+    NumBits = In.NumBits;
+    Words.resize(In.Words.size());
+    size_t E = std::min({Words.size(), Kill.Words.size(), Gen.Words.size()});
+    for (size_t I = 0; I != E; ++I)
+      Words[I] = (In.Words[I] & ~Kill.Words[I]) | Gen.Words[I];
+    for (size_t I = E, End = Words.size(); I != End; ++I)
+      Words[I] = In.Words[I];
+  }
+
   /// Compound-assignment name for andNot(), paired with |= and &= in the
   /// bulk-op surface (this &= ~RHS; sizes must match).
   BitVector &andNotAssign(const BitVector &RHS) { return andNot(RHS); }

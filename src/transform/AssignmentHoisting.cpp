@@ -14,6 +14,8 @@
 #include "transform/AssignmentMotion.h"
 #include "verify/FaultInjector.h"
 
+#include <algorithm>
+
 using namespace am;
 
 namespace {
@@ -49,9 +51,16 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   if (report::RecorderSession *Rec = report::RecorderSession::current())
     Rec->captureHoistability(G, Pats, Hoist, Rec->round());
 
-  BitVector Allowed(Pats.size(), true);
+  // Without a filter every pattern is allowed and the restriction is
+  // skipped outright.
+  BitVector Allowed;
   if (Filter)
     Allowed = Filter(Pats);
+  auto IsAllowed = [&](size_t Pat) { return !Filter || Allowed.test(Pat); };
+  auto Restrict = [&](BitVector &V) {
+    if (Filter)
+      V &= Allowed;
+  };
 
   // Phase 1: record all decisions against the frozen graph.
   struct BlockDecision {
@@ -59,111 +68,135 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     /// whose condition blocks the pattern: (pattern, pred block).
     std::vector<std::pair<size_t, BlockId>> FromPreds;
     std::vector<size_t> AtEntry;      // N-INSERT
-    std::vector<bool> RemoveInstr;    // hoisting candidates
+    std::vector<uint32_t> Remove;     // hoisting candidates, ascending
     std::vector<size_t> BeforeBranch; // X-INSERT, branch does not block
     std::vector<size_t> AtEnd;        // X-INSERT, no branch instruction
+
+    bool empty() const {
+      return FromPreds.empty() && AtEntry.empty() && Remove.empty() &&
+             BeforeBranch.empty() && AtEnd.empty();
+    }
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
 
-  BitVector Tmp = Pats.makeVector();
-  for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    const BasicBlock &BB = G.block(B);
-    BlockDecision &D = Decisions[B];
+  {
+    AM_PROF_SCOPE("aht.decide");
+    // Universe-wide scratch, reused for every block.
+    BitVector Ins = Pats.makeVector(), Tmp = Pats.makeVector();
+    // Position of the first instruction of the current block that defines
+    // / uses each variable (npos: none yet).  `x := t` is blocked before
+    // instruction Idx iff x or an operand of t was defined, or x was used,
+    // earlier in the block: AssignPatternTable::blockedBy's relation
+    // (Definition 3.2), asked per occurrence instead of per universe.
+    constexpr size_t npos = AssignPatternTable::npos;
+    std::vector<size_t> FirstDef(G.Vars.size(), npos);
+    std::vector<size_t> FirstUse(G.Vars.size(), npos);
+    for (BlockId B = 0; B < G.numBlocks(); ++B) {
+      const BasicBlock &BB = G.block(B);
+      BlockDecision &D = Decisions[B];
 
-    BitVector EntryIns = Hoist.entryInsert(B);
-    EntryIns &= Allowed;
-    // Footnote 6: after edge splitting there are never entry insertions at
-    // join nodes.
-    assert((EntryIns.none() || BB.Preds.size() <= 1 || B == G.start()) &&
-           "unexpected entry insertion at a join node");
-    EntryIns.forEachSetBit([&](size_t Pat) { D.AtEntry.push_back(Pat); });
+      Hoist.entryInsert(B, Ins);
+      Restrict(Ins);
+      // Footnote 6: after edge splitting there are never entry insertions
+      // at join nodes.
+      assert((Ins.none() || BB.Preds.size() <= 1 || B == G.start()) &&
+             "unexpected entry insertion at a join node");
+      Ins.forEachSetBit([&](size_t Pat) { D.AtEntry.push_back(Pat); });
 
-    // Hoisting candidates: occurrences not preceded by a blocker within
-    // their block.  The cached LOC-HOISTABLE predicate tells us whether
-    // the per-instruction scan can find anything at all.
-    D.RemoveInstr.assign(BB.Instrs.size(), false);
-    Tmp = Hoist.locHoistable(B);
-    Tmp &= Allowed;
-    if (!Tmp.none()) {
-      BitVector BlockedSoFar = Pats.makeVector();
-      // First in-block blocker per pattern, for Blocked remark payloads.
-      std::vector<uint32_t> FirstBlocker;
-      if (AM_REMARKS_ENABLED())
-        FirstBlocker.assign(Pats.size(), 0);
-      for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
-        size_t Pat = Pats.occurrence(BB.Instrs[Idx]);
-        if (Pat != AssignPatternTable::npos && Allowed.test(Pat)) {
-          bool Blocked = BlockedSoFar.test(Pat);
-          if (Blocked)
-            if (fault::FaultInjector *FI = fault::FaultInjector::current())
-              // aht-skip-block: skip one blockage check, hoisting the
-              // occurrence past its in-block blocker.
-              Blocked = !FI->fire(fault::FaultClass::AhtSkipBlockage);
-          if (!Blocked) {
-            D.RemoveInstr[Idx] = true;
-          } else if (AM_REMARKS_ENABLED()) {
-            // The occurrence stays put this round: something earlier in
-            // the block blocks its pattern.  Informational (non-terminal)
-            // and true whether or not the block's rebuild commits, so it
-            // is published directly.
-            remarks::Remark R;
-            R.K = remarks::Kind::Blocked;
-            R.InstrId = BB.Instrs[Idx].Id;
-            R.Block = B;
-            R.InstrIndex = static_cast<uint32_t>(Idx);
-            R.Pattern = printInstr(BB.Instrs[Idx], G.Vars);
-            if (BB.Instrs[Idx].isAssign())
-              R.Var = G.Vars.name(BB.Instrs[Idx].Lhs);
-            R.Solve = Hoist.solveSerial();
-            R.fact("LOC-BLOCKED", "1");
-            if (!FirstBlocker.empty() && FirstBlocker[Pat] != 0)
-              R.fact("blocked_by", "#" + std::to_string(FirstBlocker[Pat]));
-            remarks::Sink::get().add(std::move(R));
+      // Hoisting candidates: occurrences not preceded by a blocker within
+      // their block.  The cached LOC-HOISTABLE predicate tells us whether
+      // the per-instruction scan can find anything at all.
+      bool AnyCandidate = Hoist.locHoistable(B).any();
+      if (AnyCandidate && Filter) {
+        Tmp = Hoist.locHoistable(B);
+        Tmp &= Allowed;
+        AnyCandidate = Tmp.any();
+      }
+      if (AnyCandidate) {
+        for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
+          const Instr &I = BB.Instrs[Idx];
+          size_t Pat = Pats.occurrence(I);
+          if (Pat != npos && IsAllowed(Pat)) {
+            const AssignPat &P = Pats.pattern(Pat);
+            size_t First = std::min(FirstDef[index(P.Lhs)],
+                                    FirstUse[index(P.Lhs)]);
+            P.Rhs.forEachVar(
+                [&](VarId V) { First = std::min(First, FirstDef[index(V)]); });
+            bool Blocked = First != npos;
+            if (Blocked)
+              if (fault::FaultInjector *FI = fault::FaultInjector::current())
+                // aht-skip-block: skip one blockage check, hoisting the
+                // occurrence past its in-block blocker.
+                Blocked = !FI->fire(fault::FaultClass::AhtSkipBlockage);
+            if (!Blocked) {
+              D.Remove.push_back(static_cast<uint32_t>(Idx));
+            } else if (AM_REMARKS_ENABLED()) {
+              // The occurrence stays put this round: something earlier in
+              // the block blocks its pattern.  Informational
+              // (non-terminal) and true whether or not the block's
+              // rebuild commits, so it is published directly.
+              remarks::Remark R;
+              R.K = remarks::Kind::Blocked;
+              R.InstrId = I.Id;
+              R.Block = B;
+              R.InstrIndex = static_cast<uint32_t>(Idx);
+              R.Pattern = printInstr(I, G.Vars);
+              if (I.isAssign())
+                R.Var = G.Vars.name(I.Lhs);
+              R.Solve = Hoist.solveSerial();
+              R.fact("LOC-BLOCKED", "1");
+              if (BB.Instrs[First].Id != 0)
+                R.fact("blocked_by",
+                       "#" + std::to_string(BB.Instrs[First].Id));
+              remarks::Sink::get().add(std::move(R));
+            }
           }
-        }
-        if (AM_REMARKS_ENABLED()) {
-          Pats.blockedBy(BB.Instrs[Idx], Tmp);
-          Tmp.forEachSetBit([&](size_t BPat) {
-            if (!BlockedSoFar.test(BPat) && FirstBlocker[BPat] == 0)
-              FirstBlocker[BPat] = BB.Instrs[Idx].Id;
+          VarId Def = I.definedVar();
+          if (isValid(Def) && FirstDef[index(Def)] == npos)
+            FirstDef[index(Def)] = Idx;
+          I.forEachUsedVar([&](VarId V) {
+            if (FirstUse[index(V)] == npos)
+              FirstUse[index(V)] = Idx;
           });
-          BlockedSoFar |= Tmp;
-        } else {
-          Pats.blockedBy(BB.Instrs[Idx], Tmp);
-          BlockedSoFar |= Tmp;
+        }
+        for (const Instr &I : BB.Instrs) {
+          if (isValid(I.definedVar()))
+            FirstDef[index(I.definedVar())] = npos;
+          I.forEachUsedVar([&](VarId V) { FirstUse[index(V)] = npos; });
         }
       }
-    }
 
-    // Exit insertions.
-    BitVector ExitIns = Hoist.exitInsert(B);
-    ExitIns &= Allowed;
-    if (ExitIns.none())
-      continue;
-    const Instr *Br = BB.branchInstr();
-    if (!Br) {
-      ExitIns.forEachSetBit([&](size_t Pat) { D.AtEnd.push_back(Pat); });
-      continue;
+      // Exit insertions.
+      Hoist.exitInsert(B, Ins);
+      Restrict(Ins);
+      if (Ins.none())
+        continue;
+      const Instr *Br = BB.branchInstr();
+      if (!Br) {
+        Ins.forEachSetBit([&](size_t Pat) { D.AtEnd.push_back(Pat); });
+        continue;
+      }
+      BitVector &BranchBlocks = Tmp;
+      Pats.blockedBy(*Br, BranchBlocks);
+      Ins.forEachSetBit([&](size_t Pat) {
+        if (!BranchBlocks.test(Pat)) {
+          D.BeforeBranch.push_back(Pat);
+          return;
+        }
+        // The branch condition itself blocks the pattern: place the
+        // insertion after the condition, i.e. at the entry of every
+        // successor (each has a single predecessor after edge splitting).
+        for (BlockId S : BB.Succs) {
+          assert(G.block(S).Preds.size() == 1 &&
+                 "successor of a branching block must have a unique pred");
+          Decisions[S].FromPreds.push_back({Pat, B});
+        }
+      });
     }
-    BitVector BranchBlocks = Pats.makeVector();
-    Pats.blockedBy(*Br, BranchBlocks);
-    ExitIns.forEachSetBit([&](size_t Pat) {
-      if (!BranchBlocks.test(Pat)) {
-        D.BeforeBranch.push_back(Pat);
-        return;
-      }
-      // The branch condition itself blocks the pattern: place the
-      // insertion after the condition, i.e. at the entry of every
-      // successor (each has a single predecessor after edge splitting).
-      for (BlockId S : BB.Succs) {
-        assert(G.block(S).Preds.size() == 1 &&
-               "successor of a branching block must have a unique pred");
-        Decisions[S].FromPreds.push_back({Pat, B});
-      }
-    });
   }
 
   // Phase 2: rebuild the instruction lists.
+  AM_PROF_SCOPE("aht.rewrite");
   bool Changed = false;
   std::vector<PendingRemark> Accepted;
   // Committed removed-occurrence ids per pattern; inserted instances of a
@@ -172,8 +205,11 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   if (AM_REMARKS_ENABLED())
     RemovedIds.resize(Pats.size());
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    BasicBlock &BB = G.block(B);
     const BlockDecision &D = Decisions[B];
+    // A block without decisions would be rebuilt into itself.
+    if (D.empty())
+      continue;
+    BasicBlock &BB = G.block(B);
 
     std::vector<PendingRemark> Pending;
     std::vector<Instr> NewInstrs;
@@ -220,8 +256,10 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
            "N-INSERT");
     }
     const Instr *Br = BB.branchInstr();
+    size_t NextRemove = 0;
     for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
-      if (D.RemoveInstr[Idx]) {
+      if (NextRemove < D.Remove.size() && D.Remove[NextRemove] == Idx) {
+        ++NextRemove;
         if (AM_REMARKS_ENABLED()) {
           PendingRemark P;
           P.Pat = Pats.occurrence(BB.Instrs[Idx]);

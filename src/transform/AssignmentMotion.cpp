@@ -17,6 +17,16 @@
 
 using namespace am;
 
+void AmContext::refreshPatterns(const FlowGraph &G) {
+  if (PatsValid && !G.instrsChangedSince(PatsTick))
+    return;
+  AM_PROF_SCOPE("patterns.build");
+  if (Pats.build(G))
+    ++PatsGen;
+  PatsTick = G.modTick();
+  PatsValid = true;
+}
+
 AmPhaseStats am::runAssignmentMotionPhase(FlowGraph &G, AmContext &Ctx,
                                           unsigned MaxIterations) {
   AmPhaseStats Stats;

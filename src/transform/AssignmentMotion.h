@@ -42,14 +42,7 @@ public:
   /// Rebuilds the pattern table if the graph changed since the last
   /// refresh; advances the pattern generation only if the rebuild changed
   /// the table's contents.
-  void refreshPatterns(const FlowGraph &G) {
-    if (PatsValid && !G.instrsChangedSince(PatsTick))
-      return;
-    if (Pats.build(G))
-      ++PatsGen;
-    PatsTick = G.modTick();
-    PatsValid = true;
-  }
+  void refreshPatterns(const FlowGraph &G);
 
   const AssignPatternTable &patterns() const { return Pats; }
   uint64_t patternGeneration() const { return PatsGen; }

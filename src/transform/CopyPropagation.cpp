@@ -19,15 +19,16 @@ unsigned propagateOnce(FlowGraph &G) {
     return 0;
 
   unsigned Rewritten = 0;
+  FactWalk Walk;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     auto &Instrs = G.block(B).Instrs;
-    if (Instrs.empty())
-      continue;
-    DataflowResult::InstrFacts Facts = Analysis.facts(B);
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      const BitVector &Reaching = Facts.Before[Idx];
+    // The walk computes instruction Idx's transfer before visiting it, so
+    // rewriting Idx's operands in the visit leaves the facts those of the
+    // analyzed program.
+    Analysis.walk(B, Walk, [&](size_t Idx, const BitVector &Reaching,
+                               const BitVector &) {
       if (Reaching.none())
-        continue;
+        return;
       auto RewriteOperand = [&](Operand &O) {
         if (!O.isVar())
           return;
@@ -52,7 +53,7 @@ unsigned propagateOnce(FlowGraph &G) {
         if (I.CondR.isNonTrivial())
           RewriteOperand(I.CondR.B);
       }
-    }
+    });
   }
   return Rewritten;
 }

@@ -13,6 +13,8 @@
 #include "support/Remarks.h"
 #include "support/Stats.h"
 
+#include <algorithm>
+
 using namespace am;
 
 namespace {
@@ -78,8 +80,11 @@ bool am::runFinalFlush(FlowGraph &G) {
     std::vector<size_t> FromPreds; // exit inits realized at succ entries
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
-  for (BlockId B = 0; B < G.numBlocks(); ++B)
-    Decisions[B].Plan = Analysis.plan(B);
+  {
+    AM_PROF_SCOPE("flush.plan");
+    for (BlockId B = 0; B < G.numBlocks(); ++B)
+      Analysis.plan(B, Decisions[B].Plan);
+  }
 
   // Distribute exit initializations of branching blocks to their
   // successors' entries.  (With split critical edges this cannot actually
@@ -89,13 +94,13 @@ bool am::runFinalFlush(FlowGraph &G) {
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     BlockDecision &D = Decisions[B];
     const Instr *Br = G.block(B).branchInstr();
-    if (!Br || D.Plan.InitAtExit.none())
+    if (!Br || D.Plan.InitAtExit.empty())
       continue;
     assert(false && "exit initialization at a branching block");
-    for (size_t Idx : D.Plan.InitAtExit.setBits())
+    for (size_t Idx : D.Plan.InitAtExit)
       for (BlockId S : G.block(B).Succs)
         Decisions[S].FromPreds.push_back(Idx);
-    D.Plan.InitAtExit.resetAll();
+    D.Plan.InitAtExit.clear();
   }
 
   // Phase 2: rebuild instruction lists.  "Sunk" counts the justified
@@ -115,10 +120,17 @@ bool am::runFinalFlush(FlowGraph &G) {
   std::vector<std::vector<uint32_t>> DeletedIds;
   if (AM_REMARKS_ENABLED())
     DeletedIds.resize(U.size());
-  BitVector IsInst = U.makeVector();
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     BasicBlock &BB = G.block(B);
     BlockDecision &D = Decisions[B];
+    // A block that places nothing and holds no initialization instance
+    // would be rebuilt into itself.
+    if (D.Plan.Temps.empty() && D.Plan.InitAtExit.empty() &&
+        D.FromPreds.empty() &&
+        std::none_of(BB.Instrs.begin(), BB.Instrs.end(), [&](const Instr &I) {
+          return U.instOf(I) != FlushUniverse::npos;
+        }))
+      continue;
 
     uint64_t BlockSunk = 0, BlockDeleted = 0;
     std::vector<PendingRemark> Pending;
@@ -152,17 +164,16 @@ bool am::runFinalFlush(FlowGraph &G) {
 
     for (size_t InstrIdx = 0; InstrIdx < BB.Instrs.size(); ++InstrIdx) {
       const Instr &I = BB.Instrs[InstrIdx];
-      D.Plan.InitBefore[InstrIdx].forEachSetBit([&](size_t TempIdx) {
+      for (size_t TempIdx : D.Plan.initBefore(InstrIdx))
         EmitInit(TempIdx, remarks::Placement::None, "N-INIT");
-      });
       // Delete every original initialization instance; the latest points
       // re-materialize exactly the ones that are justified.
-      U.isInst(I, IsInst);
-      if (IsInst.any()) {
+      size_t InstOf = U.instOf(I);
+      if (InstOf != FlushUniverse::npos) {
         ++BlockDeleted;
         if (AM_REMARKS_ENABLED()) {
           PendingRemark P;
-          P.TempIdx = IsInst.findFirst();
+          P.TempIdx = InstOf;
           P.IsSink = false;
           P.R.K = remarks::Kind::DeleteInit;
           P.R.InstrId = I.Id;
@@ -178,7 +189,7 @@ bool am::runFinalFlush(FlowGraph &G) {
         continue;
       }
       Instr NewI = I;
-      D.Plan.Reconstruct[InstrIdx].forEachSetBit([&](size_t TempIdx) {
+      for (size_t TempIdx : D.Plan.reconstruct(InstrIdx)) {
         VarId H = U.temp(TempIdx);
         if (countUses(NewI, H) == 1 &&
             reconstructUse(NewI, H, U.expr(TempIdx))) {
@@ -197,18 +208,17 @@ bool am::runFinalFlush(FlowGraph &G) {
                 .fact("rewritten", printInstr(NewI, G.Vars));
             Pending.push_back(std::move(P));
           }
-          return;
+          continue;
         }
         // Multiple or non-replaceable uses: keep the temporary and
         // initialize it here instead.
         EmitInit(TempIdx, remarks::Placement::None, "RECONSTRUCT-multi-use");
-      });
+      }
       NewInstrs.push_back(std::move(NewI));
     }
 
-    D.Plan.InitAtExit.forEachSetBit([&](size_t TempIdx) {
+    for (size_t TempIdx : D.Plan.InitAtExit)
       EmitInit(TempIdx, remarks::Placement::Exit, "X-INIT");
-    });
 
     if (NewInstrs != BB.Instrs) {
       BB.Instrs = std::move(NewInstrs);

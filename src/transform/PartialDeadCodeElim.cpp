@@ -56,35 +56,49 @@ bool am::runAssignmentSinking(FlowGraph &G) {
 
   // Phase 1: record decisions against the frozen graph.
   struct BlockDecision {
-    std::vector<BitVector> InsertBefore; // per instruction
+    /// (instruction, pattern) insertions, ordered by instruction and then
+    /// ascending pattern.
+    std::vector<std::pair<uint32_t, uint32_t>> InsertBefore;
     BitVector InsertAtExit;
     std::vector<bool> RemoveInstr;
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
-  BitVector Blocked = Pats.makeVector();
+  BitVector Latest = Pats.makeVector();
+  FactWalk Walk;
 
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     const auto &Instrs = G.block(B).Instrs;
     BlockDecision &D = Decisions[B];
-    D.InsertBefore.resize(Instrs.size());
     D.RemoveInstr.assign(Instrs.size(), false);
-    DataflowResult::InstrFacts DelayFacts = Delay.instrFacts(B);
-    DataflowResult::InstrFacts LiveFacts = Live.facts(B);
-
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      // Every occurrence is deleted; the latest points re-materialize the
-      // ones that are still needed.
+    // Every occurrence is deleted; the latest points re-materialize the
+    // ones that are still needed.  N-LATEST = N-DELAY* · BLOCKED ...
+    auto &Ins = D.InsertBefore;
+    Delay.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                            const BitVector &) {
       if (Pats.occurrence(Instrs[Idx]) != AssignPatternTable::npos)
         D.RemoveInstr[Idx] = true;
-      // N-LATEST = N-DELAY* · BLOCKED, guarded by liveness of the
-      // left-hand side immediately before the blocking instruction.
-      Pats.blockedBy(Instrs[Idx], Blocked);
-      BitVector Latest = DelayFacts.Before[Idx];
-      Latest &= Blocked;
-      D.InsertBefore[Idx] = Pats.makeVector();
-      for (size_t Pat : Latest.setBits())
-        if (LiveFacts.Before[Idx].test(index(Pats.pattern(Pat).Lhs)))
-          D.InsertBefore[Idx].set(Pat);
+      Pats.blockedBy(Instrs[Idx], Latest);
+      Latest &= Before;
+      Latest.forEachSetBit([&](size_t Pat) {
+        Ins.push_back({static_cast<uint32_t>(Idx), static_cast<uint32_t>(Pat)});
+      });
+    });
+    // ... guarded by liveness of the left-hand side immediately before
+    // the blocking instruction.
+    if (!Ins.empty()) {
+      std::vector<bool> Keep(Ins.size(), false);
+      size_t Cursor = Ins.size();
+      Live.walk(B, Walk, [&](size_t Idx, const BitVector &LiveBefore,
+                             const BitVector &) {
+        for (; Cursor > 0 && Ins[Cursor - 1].first == Idx; --Cursor)
+          Keep[Cursor - 1] =
+              LiveBefore.test(index(Pats.pattern(Ins[Cursor - 1].second).Lhs));
+      });
+      size_t Kept = 0;
+      for (size_t K = 0; K < Ins.size(); ++K)
+        if (Keep[K])
+          Ins[Kept++] = Ins[K];
+      Ins.resize(Kept);
     }
 
     // X-LATEST = X-DELAY* · ∃succ ¬N-DELAY*, guarded by liveness at exit.
@@ -115,9 +129,12 @@ bool am::runAssignmentSinking(FlowGraph &G) {
       NewInstrs.push_back(
           Instr::assign(Pats.pattern(Pat).Lhs, Pats.pattern(Pat).Rhs));
     };
+    size_t NextInsert = 0;
     for (size_t Idx = 0; Idx < BB.Instrs.size(); ++Idx) {
-      for (size_t Pat : D.InsertBefore[Idx].setBits())
-        Emit(Pat);
+      for (; NextInsert < D.InsertBefore.size() &&
+             D.InsertBefore[NextInsert].first == Idx;
+           ++NextInsert)
+        Emit(D.InsertBefore[NextInsert].second);
       if (!D.RemoveInstr[Idx])
         NewInstrs.push_back(BB.Instrs[Idx]);
     }

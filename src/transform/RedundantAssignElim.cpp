@@ -58,59 +58,59 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
     Rec->captureRedundancy(G, Pats, Redundancy, Rec->round());
 
   // Record all decisions first, then mutate.
+  AM_PROF_SCOPE("rae.rewrite");
   unsigned NumEliminated = 0;
   std::vector<bool> Remove;
+  std::vector<size_t> Occurrence;
+  FactWalk Walk;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     auto &Instrs = G.block(B).Instrs;
-    if (Instrs.empty())
-      continue;
-    // Instruction-level facts are only needed where an occurrence could
-    // actually be eliminated.
+    // N-REDUNDANT is only needed where an occurrence could actually be
+    // eliminated.
+    Occurrence.clear();
     bool HasOccurrence = false;
     for (const Instr &I : Instrs) {
-      if (Pats.occurrence(I) != AssignPatternTable::npos) {
-        HasOccurrence = true;
-        break;
-      }
+      Occurrence.push_back(Pats.occurrence(I));
+      HasOccurrence |= Occurrence.back() != AssignPatternTable::npos;
     }
     if (!HasOccurrence)
       continue;
-    DataflowResult::InstrFacts Facts = Redundancy.facts(B);
     Remove.assign(Instrs.size(), false);
     unsigned RemovedHere = 0;
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      size_t Pat = Pats.occurrence(Instrs[Idx]);
+    Redundancy.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                                 const BitVector &) {
+      size_t Pat = Occurrence[Idx];
       if (Pat == AssignPatternTable::npos)
-        continue;
-      bool Redundant = Facts.Before[Idx].test(Pat);
+        return;
+      bool Redundant = Before.test(Pat);
       if (!Redundant)
         if (fault::FaultInjector *FI = fault::FaultInjector::current())
           // rae-flip: treat one non-redundant occurrence as redundant, as
           // if a N-REDUNDANT dataflow bit were flipped.
           Redundant = FI->fire(fault::FaultClass::RaeFlipBit);
-      if (Redundant) {
-        Remove[Idx] = true;
-        ++RemovedHere;
-        if (AM_REMARKS_ENABLED()) {
-          // A removal always commits (the list shrinks), so the remark
-          // can be emitted directly.
-          remarks::Remark R;
-          R.K = remarks::Kind::Eliminate;
-          R.InstrId = Instrs[Idx].Id;
-          R.Block = B;
-          R.InstrIndex = static_cast<uint32_t>(Idx);
-          R.Terminal = true;
-          R.Pattern = printInstr(Instrs[Idx], G.Vars);
-          if (Instrs[Idx].isAssign())
-            R.Var = G.Vars.name(Instrs[Idx].Lhs);
-          R.Solve = Redundancy.solveSerial();
-          R.fact("N-REDUNDANT", "1")
-              .fact("defined_by",
-                    describeDefiner(G, B, Idx, Pat, Pats, Redundancy));
-          remarks::Sink::get().add(std::move(R));
-        }
+      if (!Redundant)
+        return;
+      Remove[Idx] = true;
+      ++RemovedHere;
+      if (AM_REMARKS_ENABLED()) {
+        // A removal always commits (the list shrinks), so the remark
+        // can be emitted directly.
+        remarks::Remark R;
+        R.K = remarks::Kind::Eliminate;
+        R.InstrId = Instrs[Idx].Id;
+        R.Block = B;
+        R.InstrIndex = static_cast<uint32_t>(Idx);
+        R.Terminal = true;
+        R.Pattern = printInstr(Instrs[Idx], G.Vars);
+        if (Instrs[Idx].isAssign())
+          R.Var = G.Vars.name(Instrs[Idx].Lhs);
+        R.Solve = Redundancy.solveSerial();
+        R.fact("N-REDUNDANT", "1")
+            .fact("defined_by",
+                  describeDefiner(G, B, Idx, Pat, Pats, Redundancy));
+        remarks::Sink::get().add(std::move(R));
       }
-    }
+    });
     if (RemovedHere == 0)
       continue;
     NumEliminated += RemovedHere;

@@ -22,23 +22,27 @@ unsigned am::eliminateRandomRedundant(FlowGraph &G, Rng &R, double KeepProb) {
   RedundancyAnalysis Redundancy = RedundancyAnalysis::run(G, Pats);
 
   unsigned NumEliminated = 0;
+  FactWalk Walk;
+  std::vector<bool> Remove;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     auto &Instrs = G.block(B).Instrs;
     if (Instrs.empty())
       continue;
-    DataflowResult::InstrFacts Facts = Redundancy.facts(B);
+    Remove.assign(Instrs.size(), false);
+    Redundancy.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                                 const BitVector &) {
+      size_t Pat = Pats.occurrence(Instrs[Idx]);
+      bool Redundant = Pat != AssignPatternTable::npos && Before.test(Pat);
+      if (Redundant && R.chance(KeepProb)) {
+        Remove[Idx] = true;
+        ++NumEliminated;
+      }
+    });
     std::vector<Instr> Kept;
     Kept.reserve(Instrs.size());
-    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
-      size_t Pat = Pats.occurrence(Instrs[Idx]);
-      bool Redundant =
-          Pat != AssignPatternTable::npos && Facts.Before[Idx].test(Pat);
-      if (Redundant && R.chance(KeepProb)) {
-        ++NumEliminated;
-        continue;
-      }
-      Kept.push_back(std::move(Instrs[Idx]));
-    }
+    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx)
+      if (!Remove[Idx])
+        Kept.push_back(std::move(Instrs[Idx]));
     Instrs = std::move(Kept);
   }
   return NumEliminated;

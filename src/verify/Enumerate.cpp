@@ -29,20 +29,19 @@ void eliminationSuccessors(const FlowGraph &G,
   if (Pats.size() == 0)
     return;
   RedundancyAnalysis Redundancy = RedundancyAnalysis::run(G, Pats);
+  FactWalk Walk;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    if (G.block(B).Instrs.empty())
-      continue;
-    DataflowResult::InstrFacts Facts = Redundancy.facts(B);
-    for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx) {
+    Redundancy.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
+                                 const BitVector &) {
       size_t Pat = Pats.occurrence(G.block(B).Instrs[Idx]);
-      if (Pat == AssignPatternTable::npos || !Facts.Before[Idx].test(Pat))
-        continue;
+      if (Pat == AssignPatternTable::npos || !Before.test(Pat))
+        return;
       FlowGraph Next = G;
       auto &Instrs = Next.block(B).Instrs;
       Instrs.erase(Instrs.begin() + static_cast<long>(Idx));
       Next.touchBlock(B);
       Out.push_back(std::move(Next));
-    }
+    });
   }
 }
 

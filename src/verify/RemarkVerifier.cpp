@@ -28,12 +28,95 @@
 #include "transform/Normalize.h"
 #include "transform/RedundantAssignElim.h"
 
+#include <algorithm>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <unordered_map>
 
 using namespace am;
 using namespace am::remarks;
 
 namespace {
+
+/// True if the ascending temp list \p Temps holds \p Idx.
+bool contains(std::span<const uint32_t> Temps, size_t Idx) {
+  return std::binary_search(Temps.begin(), Temps.end(), Idx);
+}
+
+/// Fresh, from-scratch analyses of one pre-stage snapshot.  Each is built
+/// on the first remark that needs it and shared by the rest of the
+/// stage's remarks, so a stage costs a constant number of solves however
+/// many remarks it emitted.
+class StageFacts {
+public:
+  explicit StageFacts(const FlowGraph &Before) : Before(Before) {}
+
+  const AssignPatternTable &patterns() {
+    if (!Pats)
+      Pats.emplace().build(Before);
+    return *Pats;
+  }
+
+  /// Pattern-table index of a remark's pattern text, or npos.  Remarks
+  /// carry the printed pattern, which is the stable identity across
+  /// snapshots (bit indices are not).
+  size_t patternByText(const std::string &Text) {
+    if (!ByText) {
+      ByText.emplace();
+      const AssignPatternTable &P = patterns();
+      for (size_t Idx = 0; Idx < P.size(); ++Idx)
+        ByText->emplace(Before.Vars.name(P.pattern(Idx).Lhs) + " := " +
+                            printTerm(P.pattern(Idx).Rhs, Before.Vars),
+                        Idx);
+    }
+    auto It = ByText->find(Text);
+    return It == ByText->end() ? AssignPatternTable::npos : It->second;
+  }
+
+  /// N-REDUNDANT of pattern \p Pat immediately before instruction \p Idx
+  /// of block \p B.
+  bool redundantBefore(BlockId B, size_t Idx, size_t Pat) {
+    if (!Redundancy)
+      Redundancy.emplace(RedundancyAnalysis::run(Before, patterns()));
+    bool Set = false;
+    Redundancy->walk(B, Walk, [&](size_t At, const BitVector &Fact,
+                                  const BitVector &) {
+      if (At == Idx)
+        Set = Fact.test(Pat);
+    });
+    return Set;
+  }
+
+  const HoistabilityAnalysis &hoistability() {
+    if (!Hoist)
+      Hoist.emplace(HoistabilityAnalysis::run(Before, patterns()));
+    return *Hoist;
+  }
+
+  const FlushAnalysis &flush() {
+    if (!Flush)
+      Flush.emplace(FlushAnalysis::run(Before));
+    return *Flush;
+  }
+
+  const FlushAnalysis::BlockPlan &plan(BlockId B) {
+    auto [It, New] = Plans.try_emplace(B);
+    if (New)
+      flush().plan(B, It->second);
+    return It->second;
+  }
+
+private:
+  const FlowGraph &Before;
+  std::optional<AssignPatternTable> Pats;
+  std::optional<std::unordered_map<std::string, size_t>> ByText;
+  std::optional<RedundancyAnalysis> Redundancy;
+  std::optional<HoistabilityAnalysis> Hoist;
+  std::optional<FlushAnalysis> Flush;
+  std::unordered_map<BlockId, FlushAnalysis::BlockPlan> Plans;
+  FactWalk Walk;
+};
 
 class Verifier {
 public:
@@ -44,8 +127,9 @@ public:
   void checkStage(const char *Stage, size_t FirstRemark,
                   const FlowGraph &Before, const FlowGraph &After) {
     std::vector<Remark> All = Sink::get().remarks();
+    StageFacts Facts(Before);
     for (size_t Idx = FirstRemark; Idx < All.size(); ++Idx)
-      checkRemark(Stage, All[Idx], Before, After);
+      checkRemark(Stage, All[Idx], Facts, Before, After);
   }
 
 private:
@@ -86,47 +170,33 @@ private:
     return &I;
   }
 
-  /// Pattern-table index of the remark's pattern text in a fresh table
-  /// over \p G, or npos.  Remarks carry the printed pattern, which is the
-  /// stable identity across snapshots (bit indices are not).
-  static size_t patternByText(const FlowGraph &G,
-                              const AssignPatternTable &Pats,
-                              const std::string &Text) {
-    for (size_t Idx = 0; Idx < Pats.size(); ++Idx) {
-      const AssignPat &P = Pats.pattern(Idx);
-      if (G.Vars.name(P.Lhs) + " := " + printTerm(P.Rhs, G.Vars) == Text)
-        return Idx;
-    }
-    return AssignPatternTable::npos;
-  }
-
-  void checkRemark(const char *Stage, const Remark &R, const FlowGraph &Before,
-                   const FlowGraph &After) {
+  void checkRemark(const char *Stage, const Remark &R, StageFacts &Facts,
+                   const FlowGraph &Before, const FlowGraph &After) {
     ++Report.Checked;
     switch (R.K) {
     case Kind::Decompose:
       checkDecompose(Stage, R, Before);
       return;
     case Kind::Eliminate:
-      checkEliminate(Stage, R, Before);
+      checkEliminate(Stage, R, Facts, Before);
       return;
     case Kind::Hoist:
       if (R.Act == Action::Remove)
-        checkHoistRemove(Stage, R, Before);
+        checkHoistRemove(Stage, R, Facts, Before);
       else
-        checkHoistInsert(Stage, R, Before, After);
+        checkHoistInsert(Stage, R, Facts, Before, After);
       return;
     case Kind::Blocked:
-      checkBlocked(Stage, R, Before);
+      checkBlocked(Stage, R, Facts, Before);
       return;
     case Kind::DeleteInit:
-      checkDeleteInit(Stage, R, Before);
+      checkDeleteInit(Stage, R, Facts, Before);
       return;
     case Kind::SinkInit:
-      checkSinkInit(Stage, R, Before, After);
+      checkSinkInit(Stage, R, Facts, Before, After);
       return;
     case Kind::Reconstruct:
-      checkReconstruct(Stage, R, Before);
+      checkReconstruct(Stage, R, Facts, Before);
       return;
     case Kind::Rollback:
       // Administrative: records that a guarded pipeline discarded a pass's
@@ -149,38 +219,32 @@ private:
       fail(Stage, R, "decomposed branch has no non-trivial operand");
   }
 
-  void checkEliminate(const char *Stage, const Remark &R,
+  void checkEliminate(const char *Stage, const Remark &R, StageFacts &Facts,
                       const FlowGraph &Before) {
     const Instr *I = subject(Stage, R, Before, "pre-stage graph");
     if (!I)
       return;
-    AssignPatternTable Pats;
-    Pats.build(Before);
-    size_t Pat = Pats.occurrence(*I);
+    size_t Pat = Facts.patterns().occurrence(*I);
     if (Pat == AssignPatternTable::npos) {
       fail(Stage, R, "eliminated instruction is not a pattern occurrence");
       return;
     }
-    RedundancyAnalysis Fresh = RedundancyAnalysis::run(Before, Pats);
-    DataflowResult::InstrFacts Facts = Fresh.facts(R.Block);
-    if (!Facts.Before[R.InstrIndex].test(Pat))
+    if (!Facts.redundantBefore(R.Block, R.InstrIndex, Pat))
       fail(Stage, R, "N-REDUNDANT not set in a fresh redundancy analysis");
   }
 
   void checkHoistRemove(const char *Stage, const Remark &R,
-                        const FlowGraph &Before) {
+                        StageFacts &Facts, const FlowGraph &Before) {
     const Instr *I = subject(Stage, R, Before, "pre-stage graph");
     if (!I)
       return;
-    AssignPatternTable Pats;
-    Pats.build(Before);
+    const AssignPatternTable &Pats = Facts.patterns();
     size_t Pat = Pats.occurrence(*I);
     if (Pat == AssignPatternTable::npos) {
       fail(Stage, R, "removed instruction is not a pattern occurrence");
       return;
     }
-    HoistabilityAnalysis Fresh = HoistabilityAnalysis::run(Before, Pats);
-    if (!Fresh.locHoistable(R.Block).test(Pat)) {
+    if (!Facts.hoistability().locHoistable(R.Block).test(Pat)) {
       fail(Stage, R, "LOC-HOISTABLE not set in a fresh hoistability analysis");
       return;
     }
@@ -198,17 +262,17 @@ private:
   }
 
   void checkHoistInsert(const char *Stage, const Remark &R,
-                        const FlowGraph &Before, const FlowGraph &After) {
+                        StageFacts &Facts, const FlowGraph &Before,
+                        const FlowGraph &After) {
     if (!subject(Stage, R, After, "post-stage graph"))
       return;
-    AssignPatternTable Pats;
-    Pats.build(Before);
-    size_t Pat = patternByText(Before, Pats, R.Pattern);
+    const AssignPatternTable &Pats = Facts.patterns();
+    size_t Pat = Facts.patternByText(R.Pattern);
     if (Pat == AssignPatternTable::npos) {
       fail(Stage, R, "inserted pattern does not occur in the pre-stage graph");
       return;
     }
-    HoistabilityAnalysis Fresh = HoistabilityAnalysis::run(Before, Pats);
+    const HoistabilityAnalysis &Fresh = Facts.hoistability();
     switch (R.Place) {
     case Placement::Entry:
       if (!Fresh.entryInsert(R.Block).test(Pat))
@@ -262,13 +326,12 @@ private:
     }
   }
 
-  void checkBlocked(const char *Stage, const Remark &R,
+  void checkBlocked(const char *Stage, const Remark &R, StageFacts &Facts,
                     const FlowGraph &Before) {
     const Instr *I = subject(Stage, R, Before, "pre-stage graph");
     if (!I)
       return;
-    AssignPatternTable Pats;
-    Pats.build(Before);
+    const AssignPatternTable &Pats = Facts.patterns();
     size_t Pat = Pats.occurrence(*I);
     if (Pat == AssignPatternTable::npos) {
       fail(Stage, R, "blocked instruction is not a pattern occurrence");
@@ -284,16 +347,12 @@ private:
     fail(Stage, R, "no preceding instruction blocks the pattern");
   }
 
-  void checkDeleteInit(const char *Stage, const Remark &R,
+  void checkDeleteInit(const char *Stage, const Remark &R, StageFacts &Facts,
                        const FlowGraph &Before) {
     const Instr *I = subject(Stage, R, Before, "pre-stage graph");
     if (!I)
       return;
-    FlushUniverse U;
-    U.build(Before);
-    BitVector IsInst = U.makeVector();
-    U.isInst(*I, IsInst);
-    if (IsInst.none())
+    if (Facts.flush().universe().instOf(*I) == FlushUniverse::npos)
       fail(Stage, R, "IS-INST does not hold: not an initialization instance");
   }
 
@@ -311,12 +370,11 @@ private:
     return Idx;
   }
 
-  void checkSinkInit(const char *Stage, const Remark &R,
+  void checkSinkInit(const char *Stage, const Remark &R, StageFacts &Facts,
                      const FlowGraph &Before, const FlowGraph &After) {
     if (!subject(Stage, R, After, "post-stage graph"))
       return;
-    FlushAnalysis Fresh = FlushAnalysis::run(Before);
-    size_t TempIdx = tempOf(Stage, R, Before, Fresh.universe());
+    size_t TempIdx = tempOf(Stage, R, Before, Facts.flush().universe());
     if (TempIdx == FlushUniverse::npos)
       return;
     const std::string &Via = R.factValue("via");
@@ -331,11 +389,12 @@ private:
       fail(Stage, R, "block out of range in pre-stage graph");
       return;
     }
-    FlushAnalysis::BlockPlan Plan = Fresh.plan(B);
+    const FlushAnalysis::BlockPlan &Plan = Facts.plan(B);
     if (Via == "N-INIT" || Via == "RECONSTRUCT-multi-use") {
-      for (const BitVector &Bits :
-           Via == "N-INIT" ? Plan.InitBefore : Plan.Reconstruct)
-        if (Bits.test(TempIdx))
+      for (size_t Idx = 0; Idx < Plan.numInstrs(); ++Idx)
+        if (contains(Via == "N-INIT" ? Plan.initBefore(Idx)
+                                     : Plan.reconstruct(Idx),
+                     TempIdx))
           return;
       fail(Stage, R,
            Via + " does not fire for this temp in a fresh flush analysis");
@@ -344,11 +403,11 @@ private:
     if (Via == "X-INIT") {
       if (R.Place == Placement::FromPred) {
         if (R.FromBlock >= Before.numBlocks() ||
-            !Fresh.plan(R.FromBlock).InitAtExit.test(TempIdx))
+            !contains(Facts.plan(R.FromBlock).InitAtExit, TempIdx))
           fail(Stage, R, "X-INIT not set at the branching predecessor");
         return;
       }
-      if (!Plan.InitAtExit.test(TempIdx))
+      if (!contains(Plan.InitAtExit, TempIdx))
         fail(Stage, R, "X-INIT not set in a fresh flush analysis");
       return;
     }
@@ -356,16 +415,14 @@ private:
   }
 
   void checkReconstruct(const char *Stage, const Remark &R,
-                        const FlowGraph &Before) {
+                        StageFacts &Facts, const FlowGraph &Before) {
     const Instr *I = subject(Stage, R, Before, "pre-stage graph");
     if (!I)
       return;
-    FlushAnalysis Fresh = FlushAnalysis::run(Before);
-    size_t TempIdx = tempOf(Stage, R, Before, Fresh.universe());
+    size_t TempIdx = tempOf(Stage, R, Before, Facts.flush().universe());
     if (TempIdx == FlushUniverse::npos)
       return;
-    FlushAnalysis::BlockPlan Plan = Fresh.plan(R.Block);
-    if (!Plan.Reconstruct[R.InstrIndex].test(TempIdx))
+    if (!contains(Facts.plan(R.Block).reconstruct(R.InstrIndex), TempIdx))
       fail(Stage, R, "RECONSTRUCT not set in a fresh flush analysis");
   }
 };

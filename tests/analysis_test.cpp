@@ -10,6 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceFacts.h"
 #include "TestUtil.h"
 #include "analysis/CopyAnalysis.h"
 #include "analysis/LcmAnalyses.h"
@@ -56,7 +57,7 @@ b0:
   Pats.build(G);
   RedundancyAnalysis R = RedundancyAnalysis::run(G, Pats);
   size_t X = patIdx(G, Pats, "x", "a + b");
-  auto F = R.facts(0);
+  auto F = walkFacts(G, R, 0);
   EXPECT_FALSE(F.Before[0].test(X));
   EXPECT_TRUE(F.After[0].test(X));
   EXPECT_TRUE(F.Before[1].test(X)); // y := 1 is transparent
@@ -215,7 +216,7 @@ TEST(Flush, DelayabilityStopsAtUsesAndBlockers) {
   FlowGraph G = flushExample();
   FlushAnalysis F = FlushAnalysis::run(G);
   ASSERT_EQ(F.universe().size(), 1u);
-  auto D = F.delayability().instrFacts(0);
+  auto D = walkFacts(G, F.delayability(), 0);
   EXPECT_TRUE(D.After[0].test(0));  // right after the init
   EXPECT_TRUE(D.Before[2].test(0)); // c := 1 is neutral
   EXPECT_FALSE(D.After[2].test(0)); // the use x := h1 ends the region
@@ -224,7 +225,7 @@ TEST(Flush, DelayabilityStopsAtUsesAndBlockers) {
 TEST(Flush, UsabilityCountsAnyFollowingUse) {
   FlowGraph G = flushExample();
   FlushAnalysis F = FlushAnalysis::run(G);
-  auto U = F.usability().instrFacts(0);
+  auto U = walkFacts(G, F.usability(), 0);
   EXPECT_TRUE(U.After[0].test(0));  // used below
   EXPECT_TRUE(U.After[2].test(0));  // still one more use below
   EXPECT_FALSE(U.After[3].test(0)); // no further use
@@ -235,9 +236,9 @@ TEST(Flush, PlanKeepsMultiUseInitAndLeavesNoExitInits) {
   FlushAnalysis F = FlushAnalysis::run(G);
   auto Plan = F.plan(0);
   // Init is re-placed immediately before the first use (index 2).
-  EXPECT_TRUE(Plan.InitBefore[2].test(0));
-  EXPECT_TRUE(Plan.Reconstruct[2].none()); // two uses: no reconstruction
-  EXPECT_TRUE(Plan.InitAtExit.none());
+  EXPECT_TRUE(holds(Plan.initBefore(2), 0));
+  EXPECT_TRUE(Plan.reconstruct(2).empty()); // two uses: no reconstruction
+  EXPECT_TRUE(Plan.InitAtExit.empty());
 }
 
 TEST(Flush, SingleUseIsReconstructed) {
@@ -254,8 +255,8 @@ b0:
 )");
   FlushAnalysis F = FlushAnalysis::run(G);
   auto Plan = F.plan(0);
-  EXPECT_TRUE(Plan.Reconstruct[2].test(0));
-  EXPECT_TRUE(Plan.InitBefore[2].none());
+  EXPECT_TRUE(holds(Plan.reconstruct(2), 0));
+  EXPECT_TRUE(Plan.initBefore(2).empty());
 }
 
 TEST(Flush, DeadInitializationVanishes) {
@@ -270,9 +271,9 @@ b0:
 )");
   FlushAnalysis F = FlushAnalysis::run(G);
   auto Plan = F.plan(0);
-  EXPECT_TRUE(Plan.InitAtExit.none());
-  for (const BitVector &V : Plan.InitBefore)
-    EXPECT_TRUE(V.none());
+  EXPECT_TRUE(Plan.InitAtExit.empty());
+  for (size_t Idx = 0; Idx < Plan.numInstrs(); ++Idx)
+    EXPECT_TRUE(Plan.initBefore(Idx).empty());
 }
 
 TEST(Flush, BlockerForcesEarlyPlacement) {
@@ -292,8 +293,8 @@ b0:
 )");
   FlushAnalysis F = FlushAnalysis::run(G);
   auto Plan = F.plan(0);
-  EXPECT_TRUE(Plan.InitBefore[1].test(0)); // before a := 2
-  EXPECT_TRUE(Plan.InitBefore[2].none());
+  EXPECT_TRUE(holds(Plan.initBefore(1), 0)); // before a := 2
+  EXPECT_TRUE(Plan.initBefore(2).empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -424,7 +425,7 @@ b0:
 )");
   CopyAnalysis C = CopyAnalysis::run(G);
   ASSERT_EQ(C.universe().size(), 2u);
-  auto F = C.facts(0);
+  auto F = walkFacts(G, C, 0);
   // After a := 2 the copy t := a is dead, u := t still reaches.
   size_t TA = C.universe().occurrence(G.block(0).Instrs[0]);
   size_t UT = C.universe().occurrence(G.block(0).Instrs[1]);

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceFacts.h"
 #include "ReferenceSolver.h"
 #include "TestUtil.h"
 #include "dfa/Dataflow.h"
@@ -111,7 +112,7 @@ b0:
   TinyLiveness P(G);
   DataflowResult R = solve(G, P);
   EXPECT_TRUE(matchesReference(G, R));
-  auto F = R.instrFacts(0);
+  auto F = test::walkFacts(G, R, 0);
   ASSERT_EQ(F.Before.size(), 3u);
   EXPECT_EQ(F.Before[0], R.entry(0));
   EXPECT_EQ(F.After[2], R.exit(0));
@@ -193,6 +194,6 @@ b2:
   DataflowResult R = solve(G, P);
   EXPECT_TRUE(matchesReference(G, R));
   EXPECT_EQ(R.entry(1), R.exit(1));
-  auto F = R.instrFacts(1);
+  auto F = test::walkFacts(G, R, 1);
   EXPECT_TRUE(F.Before.empty());
 }

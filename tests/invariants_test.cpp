@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceFacts.h"
 #include "TestUtil.h"
 #include "analysis/LcmAnalyses.h"
 #include "analysis/PaperAnalyses.h"
@@ -96,14 +97,15 @@ TEST_P(InvariantSweep, FlushPlacementPredicatesAreExclusive) {
     return;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     FlushAnalysis::BlockPlan Plan = F.plan(B);
-    for (size_t Idx = 0; Idx < Plan.InitBefore.size(); ++Idx) {
-      EXPECT_FALSE(Plan.InitBefore[Idx].intersects(Plan.Reconstruct[Idx]))
-          << "INIT and RECONSTRUCT overlap at block " << B << " instr "
-          << Idx;
+    for (size_t Idx = 0; Idx < Plan.numInstrs(); ++Idx) {
+      for (uint32_t Temp : Plan.initBefore(Idx))
+        EXPECT_FALSE(holds(Plan.reconstruct(Idx), Temp))
+            << "INIT and RECONSTRUCT overlap at block " << B << " instr "
+            << Idx;
     }
     // Exit inits never at branching blocks (post-split impossibility).
     if (G.block(B).branchInstr()) {
-      EXPECT_TRUE(Plan.InitAtExit.none());
+      EXPECT_TRUE(Plan.InitAtExit.empty());
     }
   }
 }

@@ -295,6 +295,37 @@ TEST(RemarksVerifier, RandomCorpusReplaysClean) {
   EXPECT_GT(Checked, 0u);
 }
 
+// The replay builds each stage's fresh analyses once, however many
+// remarks the stage emitted: on a 2k-statement program (thousands of
+// remarks) the solve count stays a small constant per stage.  The
+// optimizer itself solves at most twice per stage (rae, aht: one each;
+// flush: two) and the replay at most four times (redundancy,
+// hoistability, delayability, usability).
+TEST(RemarksVerifier, LargeProgramReplaysWithConstantSolvesPerStage) {
+  GenOptions Opts;
+  Opts.TargetStmts = 2000;
+  Opts.NumVars = 24;
+  Opts.PatternPoolSize = 320;
+  FlowGraph G = generateStructuredProgram(7, Opts);
+  uint64_t SolvesBefore = stats::Registry::get().counterValue("dfa.solves");
+  RemarkVerifyReport Report = verifyUniformRemarks(G);
+  uint64_t Solves =
+      stats::Registry::get().counterValue("dfa.solves") - SolvesBefore;
+  EXPECT_EQ(Report.Failed, 0u)
+      << (Report.Failures.empty() ? "" : Report.Failures.front());
+
+  uint32_t Rounds = 0;
+  for (const Remark &R : Sink::get().remarks())
+    Rounds = std::max(Rounds, R.Round);
+  // init, rae + aht per round (plus the final round that changes
+  // nothing), flush.
+  uint64_t Stages = 2 + 2 * (uint64_t(Rounds) + 1);
+  EXPECT_LE(Solves, 6 * Stages) << Rounds << " rounds";
+  // Per-remark analyses would need one solve per remark, far above it.
+  EXPECT_GT(Report.Checked, 20 * 6 * Stages);
+  EXPECT_EQ(printGraph(Report.Output), printGraph(runUniformEmAm(G)));
+}
+
 // Collection must never change what the optimizer produces: the printed
 // output with remarks on is byte-identical to the output with them off.
 TEST(RemarksZeroCost, CollectionDoesNotPerturbOutput) {

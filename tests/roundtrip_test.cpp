@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceFacts.h"
 #include "ReferenceSolver.h"
 #include "TestUtil.h"
 #include "analysis/Liveness.h"
@@ -69,7 +70,7 @@ void expectSolutionConsistent(const FlowGraph &G, const DataflowProblem &P,
     }
 
     // Transfer consistency, instruction by instruction.
-    DataflowResult::InstrFacts F = R.instrFacts(B);
+    DenseFacts F = walkFacts(G, R, B);
     BitVector Gen(P.numBits()), Kill(P.numBits());
     for (size_t Idx = 0; Idx < G.block(B).Instrs.size(); ++Idx) {
       const Instr &I = G.block(B).Instrs[Idx];

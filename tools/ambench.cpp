@@ -166,18 +166,23 @@ std::vector<Preset> buildPresets() {
 
   // Optimize-time scaling points: the uniform algorithm over structured
   // programs of growing size (the bench/bench_scaling axis, but wall
-  // clock instead of counters).
+  // clock instead of counters).  The 8k and 20k points use the wide
+  // pattern pool of the large benchmark programs, where per-instruction
+  // fact work over the whole universe dominates if it creeps back.
   struct ScalePoint {
     const char *Name;
     unsigned TargetStmts;
     unsigned NumVars;
+    unsigned PatternPool;
     uint64_t Seed;
     bool Heavy;
   };
   static const ScalePoint Scales[] = {
-      {"uniform/structured-64", 64, 6, 11, false},
-      {"uniform/structured-256", 256, 10, 12, false},
-      {"uniform/structured-1024", 1024, 14, 13, true},
+      {"uniform/structured-64", 64, 6, 10, 11, false},
+      {"uniform/structured-256", 256, 10, 10, 12, false},
+      {"uniform/structured-1024", 1024, 14, 10, 13, true},
+      {"uniform/structured-8k", 8000, 24, 320, 14, false},
+      {"uniform/structured-20k", 20000, 24, 320, 15, true},
   };
   for (const ScalePoint &SP : Scales) {
     Preset P;
@@ -188,6 +193,7 @@ std::vector<Preset> buildPresets() {
       GenOptions Opts;
       Opts.TargetStmts = SP.TargetStmts;
       Opts.NumVars = SP.NumVars;
+      Opts.PatternPoolSize = SP.PatternPool;
       *G = generateStructuredProgram(SP.Seed, Opts);
       return WorkFacts{{"instrs_in", instrCount(*G)},
                        {"blocks_in", G->numBlocks()}};
