@@ -67,7 +67,8 @@ std::string annotateHoistability(const FlowGraph &G) {
   std::ostringstream OS;
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     OS << "b" << B << ":\n";
-    OS << "  ;; N-HOISTABLE: " << setToString(An.entryHoistable(B), Name)
+    OS << "  ;; N-HOISTABLE: "
+       << setToString(An.entryHoistable(B).toBitVector(), Name)
        << "\n";
     OS << "  ;; N-INSERT:    " << setToString(An.entryInsert(B), Name)
        << "\n";
@@ -82,7 +83,8 @@ std::string annotateHoistability(const FlowGraph &G) {
       Pats.blockedBy(I, Tmp);
       BlockedSoFar |= Tmp;
     }
-    OS << "  ;; X-HOISTABLE: " << setToString(An.exitHoistable(B), Name)
+    OS << "  ;; X-HOISTABLE: "
+       << setToString(An.exitHoistable(B).toBitVector(), Name)
        << "\n";
     OS << "  ;; X-INSERT:    " << setToString(An.exitInsert(B), Name) << "\n";
   }
@@ -156,7 +158,8 @@ std::string annotateLiveness(const FlowGraph &G) {
     });
     for (const std::string &L : Lines)
       OS << L;
-    OS << "  ;; live-out: " << setToString(An.liveOut(B), Name) << "\n";
+    OS << "  ;; live-out: "
+       << setToString(An.liveOut(B).toBitVector(), Name) << "\n";
   }
   return OS.str();
 }

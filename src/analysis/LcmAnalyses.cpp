@@ -93,7 +93,7 @@ LcmAnalysis LcmAnalysis::run(const FlowGraph &G,
   // no further "up").  With that edge, LATERIN(s) = ANTIN(s), so
   // up-exposed originals in s are never deleted and placement is lazily
   // delayed to first uses — no insertions at the entry of s are needed.
-  A.LaterVirtual = A.antIn(G.start());
+  A.antIn(G.start()).copyTo(A.LaterVirtual);
   A.LaterIn.assign(G.numBlocks(), BitVector(Bits, true));
   A.Later.resize(G.numBlocks());
   for (BlockId B = 0; B < G.numBlocks(); ++B)
@@ -144,10 +144,10 @@ LcmAnalysis LcmAnalysis::run(const FlowGraph &G,
 BitVector LcmAnalysis::earliest(BlockId B, size_t SuccIdx) const {
   BlockId N = G->block(B).Succs[SuccIdx];
   // EARLIEST(m,n) = ANTIN(n) · ¬AVOUT(m) · (¬TRANSP(m) + ¬ANTOUT(m)).
-  BitVector E = antIn(N);
-  E.andNot(avOut(B));
+  BitVector E = antIn(N).toBitVector();
+  E.andNot(avOut(B).toBitVector());
   BitVector ThirdFactor = ~transp(B);
-  ThirdFactor |= ~antOut(B);
+  ThirdFactor |= ~antOut(B).toBitVector();
   E &= ThirdFactor;
   return E;
 }

@@ -36,10 +36,10 @@ class LcmAnalysis {
 public:
   static LcmAnalysis run(const FlowGraph &G, const ExprPatternTable &Exprs);
 
-  const BitVector &antIn(BlockId B) const { return Ant.entry(B); }
-  const BitVector &antOut(BlockId B) const { return Ant.exit(B); }
-  const BitVector &avIn(BlockId B) const { return Av.entry(B); }
-  const BitVector &avOut(BlockId B) const { return Av.exit(B); }
+  FactRow antIn(BlockId B) const { return Ant.entry(B); }
+  FactRow antOut(BlockId B) const { return Ant.exit(B); }
+  FactRow avIn(BlockId B) const { return Av.entry(B); }
+  FactRow avOut(BlockId B) const { return Av.exit(B); }
 
   /// ANTLOC: expressions computed in B before any operand modification.
   const BitVector &antloc(BlockId B) const { return Antloc[B]; }

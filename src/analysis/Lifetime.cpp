@@ -36,7 +36,7 @@ LifetimeStats am::computeLifetimeStats(const FlowGraph &G) {
     // blocks contribute their single entry/exit point.
     Live.walk(B, Walk, [&](size_t, const BitVector &Before,
                            const BitVector &) { Note(Before); });
-    Note(Live.liveOut(B));
+    Note(Live.liveOut(B).toBitVector());
     for (const Instr &I : G.block(B).Instrs)
       if (I.isAssign() && G.Vars.isTemp(I.Lhs))
         ++Stats.TempAssignments;

@@ -28,8 +28,8 @@ public:
   /// at the end node's exit; writes are observable only through `out`.
   static LivenessAnalysis run(const FlowGraph &G);
 
-  const BitVector &liveIn(BlockId B) const { return Result.entry(B); }
-  const BitVector &liveOut(BlockId B) const { return Result.exit(B); }
+  FactRow liveIn(BlockId B) const { return Result.entry(B); }
+  FactRow liveOut(BlockId B) const { return Result.exit(B); }
 
   /// Per-instruction liveness facts of \p B, replayed in reverse program
   /// order (see DataflowResult::walk).

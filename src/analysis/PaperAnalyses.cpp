@@ -156,21 +156,68 @@ RedundancyAnalysis RedundancyAnalysis::run(const FlowGraph &G,
 
 void HoistLocalPredicates::computeBlock(const FlowGraph &G,
                                         const AssignPatternTable &Pats,
-                                        BlockId B, BitVector &Scratch) {
+                                        BlockId B, BlockScratch &S) {
+  constexpr uint8_t Defined = 1, Used = 2;
   size_t Bits = Pats.size();
   BitVector &Hoistable = LocHoistable[B];
-  BitVector &BlockedSoFar = LocBlocked[B];
+  BitVector &Blocked = LocBlocked[B];
   Hoistable.clearAndResize(Bits);
-  BlockedSoFar.clearAndResize(Bits);
+  Blocked.clearAndResize(Bits);
+  S.Flags.resize(G.Vars.size(), 0);
+  auto Mark = [&](VarId V, uint8_t F) {
+    uint8_t &Flags = S.Flags[index(V)];
+    if (Flags == 0)
+      S.Seen.push_back(V);
+    Flags |= F;
+  };
   for (const Instr &I : G.block(B).Instrs) {
     // A hoisting candidate is an occurrence not preceded (within the
-    // block) by an instruction blocking it.
+    // block) by an instruction blocking it: `x := t` is blocked once x or
+    // an operand of t was defined, or x was used, earlier in the block —
+    // AssignPatternTable::blockedBy's relation (Definition 3.2), asked
+    // per occurrence.
     size_t Idx = Pats.occurrence(I);
-    if (Idx != AssignPatternTable::npos && !BlockedSoFar.test(Idx))
-      Hoistable.set(Idx);
-    Pats.blockedBy(I, Scratch);
-    BlockedSoFar |= Scratch;
+    if (Idx != AssignPatternTable::npos) {
+      const AssignPat &P = Pats.pattern(Idx);
+      bool IsBlocked = S.Flags[index(P.Lhs)] != 0;
+      P.Rhs.forEachVar(
+          [&](VarId V) { IsBlocked |= (S.Flags[index(V)] & Defined) != 0; });
+      if (!IsBlocked)
+        Hoistable.set(Idx);
+    }
+    VarId Def = I.definedVar();
+    if (isValid(Def))
+      Mark(Def, Defined);
+    I.forEachUsedVar([&](VarId V) { Mark(V, Used); });
   }
+  // LOC-BLOCKED is the union of the block's blockedBy sets: the patterns
+  // a defined variable blocks (as left-hand side or operand) and those a
+  // used variable blocks (as left-hand side), once per distinct variable.
+  for (VarId V : S.Seen) {
+    uint8_t Flags = S.Flags[index(V)];
+    S.Flags[index(V)] = 0;
+    Blocked |= Pats.lhsPats(V);
+    if (Flags & Defined)
+      Blocked |= Pats.rhsUsePats(V);
+  }
+  S.Seen.clear();
+}
+
+void HoistLocalPredicates::computeBlocks(const FlowGraph &G,
+                                         const AssignPatternTable &Pats,
+                                         size_t N, const BlockId *Blocks) {
+  // Each block's predicates depend only on that block's instructions and
+  // the (const) pattern table, so contiguous ranges go to the pool with
+  // per-thread scratch; a handful of blocks is not worth the trip.
+  auto Range = [&](size_t Begin, size_t End) {
+    static thread_local BlockScratch S;
+    for (size_t I = Begin; I < End; ++I)
+      computeBlock(G, Pats, Blocks ? Blocks[I] : static_cast<BlockId>(I), S);
+  };
+  if (N >= 64)
+    threads::pool().parallelRanges(N, Range);
+  else
+    Range(0, N);
 }
 
 void HoistLocalPredicates::refresh(const FlowGraph &G,
@@ -184,19 +231,13 @@ void HoistLocalPredicates::refresh(const FlowGraph &G,
   LocBlocked.resize(NumBlocks);
   LocHoistable.resize(NumBlocks);
   if (!Incremental) {
-    // Full rebuild: each block's predicates depend only on that block's
-    // instructions and the (const) pattern table, so contiguous block
-    // ranges go to the pool with one scratch vector per range.
-    threads::pool().parallelRanges(NumBlocks, [&](size_t Begin, size_t End) {
-      BitVector Scratch;
-      for (size_t B = Begin; B < End; ++B)
-        computeBlock(G, Pats, static_cast<BlockId>(B), Scratch);
-    });
+    computeBlocks(G, Pats, NumBlocks, nullptr);
   } else {
-    for (BlockId B = 0; B < NumBlocks; ++B) {
+    Dirty.clear();
+    for (BlockId B = 0; B < NumBlocks; ++B)
       if (G.blockTick(B) > RefreshTick)
-        computeBlock(G, Pats, B, Tmp);
-    }
+        Dirty.push_back(B);
+    computeBlocks(G, Pats, Dirty.size(), Dirty.data());
   }
   CachedG = &G;
   CachedGen = PatsGen;
@@ -238,26 +279,15 @@ HoistabilityAnalysis HoistabilityAnalysis::run(const FlowGraph &G,
 }
 
 void HoistabilityAnalysis::entryInsert(BlockId B, BitVector &Out) const {
-  Out = entryHoistable(B);
-  if (B == G->start())
-    // The start node has no predecessors: its entry is the hoisting
-    // frontier for everything still hoistable there.
-    return;
-  const auto &Preds = G->block(B).Preds;
-  for (size_t W = 0, E = Out.numWords(); W != E; ++W) {
-    uint64_t Insert = Out.word(W);
-    if (Insert == 0)
-      continue;
-    uint64_t AnyPredStops = 0;
-    for (BlockId P : Preds)
-      AnyPredStops |= ~exitHoistable(P).word(W);
-    Out.setWord(W, Insert & AnyPredStops);
-  }
+  Out.clearAndResize(Result.problem().numBits());
+  auto Set = [&](size_t W, uint64_t Bits) { Out.setWord(W, Bits); };
+  forEachEntryInsertWord(B, Set);
 }
 
 void HoistabilityAnalysis::exitInsert(BlockId B, BitVector &Out) const {
-  Out = exitHoistable(B);
-  Out &= locBlocked(B);
+  Out.clearAndResize(Result.problem().numBits());
+  auto Set = [&](size_t W, uint64_t Bits) { Out.setWord(W, Bits); };
+  forEachExitInsertWord(B, Set);
 }
 
 //===----------------------------------------------------------------------===//
@@ -414,8 +444,8 @@ void FlushAnalysis::exitInits(BlockId B, std::vector<uint32_t> &Out) const {
   // the exit so dead initializations vanish instead of being inserted.
   Out.clear();
   const auto &Succs = G->block(B).Succs;
-  const BitVector &DelayExit = Delay.exit(B);
-  const BitVector &UsableExit = Usable.exit(B);
+  FactRow DelayExit = Delay.exit(B);
+  FactRow UsableExit = Usable.exit(B);
   for (size_t W = 0, E = DelayExit.numWords(); W != E; ++W) {
     uint64_t Bits = DelayExit.word(W) & UsableExit.word(W);
     if (Bits == 0)

@@ -64,8 +64,8 @@ public:
     Result.walk(B, S, Visit);
   }
 
-  const BitVector &entry(BlockId B) const { return Result.entry(B); }
-  const BitVector &exit(BlockId B) const { return Result.exit(B); }
+  FactRow entry(BlockId B) const { return Result.entry(B); }
+  FactRow exit(BlockId B) const { return Result.exit(B); }
 
   /// The raw solution, for tests.
   const DataflowResult &result() const { return Result; }
@@ -85,7 +85,9 @@ private:
 /// The hoistability analysis' block-local predicates (LOC-BLOCKED and
 /// LOC-HOISTABLE), cacheable across rounds of the AM fixpoint: a refresh
 /// recomputes only blocks the graph stamped dirty since the previous
-/// refresh, mirroring the solver's transfer cache one layer up.
+/// refresh, mirroring the solver's transfer cache one layer up.  Both
+/// are formed per block from the variables its instructions define and
+/// use, never from a per-instruction blockedBy set.
 class HoistLocalPredicates {
 public:
   /// Brings the predicates up to date for \p G / \p Pats.  \p PatsGen
@@ -106,8 +108,17 @@ public:
   }
 
 private:
+  /// Per-variable flags of one block's scan (bit 0: defined so far, bit
+  /// 1: used so far) and the variables flagged, for the reset.
+  struct BlockScratch {
+    std::vector<uint8_t> Flags;
+    std::vector<VarId> Seen;
+  };
   void computeBlock(const FlowGraph &G, const AssignPatternTable &Pats,
-                    BlockId B, BitVector &Scratch);
+                    BlockId B, BlockScratch &S);
+  /// Recomputes blocks Blocks[0..N) on the pool (one scratch per range).
+  void computeBlocks(const FlowGraph &G, const AssignPatternTable &Pats,
+                     size_t N, const BlockId *Blocks);
 
   std::vector<BitVector> LocBlocked;
   std::vector<BitVector> LocHoistable;
@@ -116,7 +127,7 @@ private:
   size_t CachedBits = 0;
   Tick RefreshTick = 0;
   bool Valid = false;
-  BitVector Tmp; // blockedBy scratch
+  std::vector<BlockId> Dirty; ///< Refresh scratch.
 };
 
 /// Hoistability facts and insertion points.  A bit at a block boundary
@@ -138,8 +149,8 @@ public:
                                   uint64_t PatsGen);
 
   /// N-HOISTABLE* / X-HOISTABLE* (greatest solution).
-  const BitVector &entryHoistable(BlockId B) const { return Result.entry(B); }
-  const BitVector &exitHoistable(BlockId B) const { return Result.exit(B); }
+  FactRow entryHoistable(BlockId B) const { return Result.entry(B); }
+  FactRow exitHoistable(BlockId B) const { return Result.exit(B); }
 
   /// LOC-BLOCKED: patterns blocked by some instruction of the block.
   const BitVector &locBlocked(BlockId B) const {
@@ -151,12 +162,40 @@ public:
     return Locals->locHoistable(B);
   }
 
-  /// N-INSERT: patterns to insert at the entry of \p B, written into
-  /// \p Out (whose storage is reused).  The start node's entry is the
-  /// hoisting frontier when hoistability reaches it.
+  /// N-INSERT = N-HOISTABLE* · ∃pred ¬X-HOISTABLE*: calls
+  /// \p F(WordIdx, Word) for every nonzero word, ascending, without
+  /// materializing the set.  The start node's entry is the hoisting
+  /// frontier when hoistability reaches it.
+  template <typename Fn> void forEachEntryInsertWord(BlockId B, Fn F) const {
+    const auto &Preds = G->block(B).Preds;
+    bool Frontier = B == G->start();
+    entryHoistable(B).forEachWord([&](size_t W, uint64_t Insert) {
+      if (Insert == 0)
+        return;
+      if (!Frontier) {
+        uint64_t AnyPredStops = 0;
+        for (BlockId P : Preds)
+          AnyPredStops |= ~exitHoistable(P).word(W);
+        Insert &= AnyPredStops;
+      }
+      if (Insert != 0)
+        F(W, Insert);
+    });
+  }
+
+  /// X-INSERT = X-HOISTABLE* · LOC-BLOCKED, word by word as above.
+  template <typename Fn> void forEachExitInsertWord(BlockId B, Fn F) const {
+    const BitVector &Blocked = locBlocked(B);
+    exitHoistable(B).forEachWord([&](size_t W, uint64_t Exit) {
+      if (uint64_t Insert = Exit & Blocked.word(W))
+        F(W, Insert);
+    });
+  }
+
+  /// N-INSERT of \p B, written into \p Out (whose storage is reused).
   void entryInsert(BlockId B, BitVector &Out) const;
 
-  /// X-INSERT: patterns to insert at the exit of \p B, into \p Out.
+  /// X-INSERT of \p B, into \p Out.
   void exitInsert(BlockId B, BitVector &Out) const;
 
   BitVector entryInsert(BlockId B) const {

@@ -34,6 +34,7 @@
 #include "support/Stats.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 
 using namespace am;
@@ -64,6 +65,35 @@ void am::setSolveObserver(void (*Fn)(const SolveInfo &, void *), void *Ctx) {
 DataflowSolver::DataflowSolver() = default;
 DataflowSolver::~DataflowSolver() = default;
 
+//===----------------------------------------------------------------------===//
+// FactRow
+//===----------------------------------------------------------------------===//
+
+size_t FactRow::count() const {
+  size_t N = 0;
+  forEachWord([&](size_t, uint64_t Word) {
+    N += static_cast<size_t>(__builtin_popcountll(Word));
+  });
+  return N;
+}
+
+void FactRow::copyTo(BitVector &Out) const {
+  Out.clearAndResize(NumBits);
+  forEachWord([&](size_t W, uint64_t Word) { Out.setWord(W, Word); });
+}
+
+std::string FactRow::toString() const {
+  std::string S;
+  S.reserve(NumBits);
+  for (size_t I = 0; I < NumBits; ++I)
+    S.push_back(test(I) ? '1' : '0');
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// DataflowSolver
+//===----------------------------------------------------------------------===//
+
 void DataflowSolver::invalidate() {
   HaveSolution = false;
   SolG = nullptr;
@@ -88,9 +118,10 @@ void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
       OrderForward == Forward)
     return;
   Order = Forward ? G.reversePostorder() : G.reverseGraphReversePostorder();
-  OrderIndex.assign(G.numBlocks(), 0);
+  RowOf = std::make_shared<std::vector<uint32_t>>(
+      G.numBlocks(), static_cast<uint32_t>(Order.size()));
   for (size_t Idx = 0; Idx < Order.size(); ++Idx)
-    OrderIndex[Order[Idx]] = Idx;
+    (*RowOf)[Order[Idx]] = static_cast<uint32_t>(Idx);
   OrderG = &G;
   OrderStructTick = G.structTick();
   OrderForward = Forward;
@@ -99,16 +130,21 @@ void DataflowSolver::refreshOrder(const FlowGraph &G, bool Forward) {
 DataflowResult DataflowSolver::snapshot(const FlowGraph &G,
                                         const DataflowProblem &P,
                                         bool Forward) const {
-  AM_PROF_SCOPE("dfa.export");
   DataflowResult R;
   R.G = &G;
   R.Problem = &P;
+  R.Forward = Forward;
+  R.RowOf = RowOf;
+  R.Planes = Engine->planes();
+  const PackedGroupPlane &In = R.Planes->In, &Out = R.Planes->Out;
+  R.Shape.Stride = In.rows() * In.width();
+  R.Shape.Mask = In.width() - 1;
+  R.Shape.Shift = static_cast<unsigned>(std::countr_zero(In.width()));
+  R.Shape.NumBits = P.numBits();
   // The engine's meet side is the block entry of a forward problem and
   // the block exit of a backward one.
-  if (Forward)
-    Engine->exportSolution(Order, R.Entry, R.Exit);
-  else
-    Engine->exportSolution(Order, R.Exit, R.Entry);
+  R.MeetBase = In.groupRow(0);
+  R.TransferredBase = Out.groupRow(0);
   return R;
 }
 
@@ -186,7 +222,7 @@ DataflowResult DataflowSolver::solve(const FlowGraph &G,
   Req.P = &P;
   Req.ProblemGen = ProblemGen;
   Req.Order = &Order;
-  Req.OrderIndex = &OrderIndex;
+  Req.RowOf = RowOf.get();
   Req.MeetAll = MeetAll;
   Req.BoundaryBlock = Forward ? G.start() : G.end();
   Req.Boundary = &Boundary;

@@ -47,6 +47,18 @@ void composeInto(const DataflowProblem &P, bool Forward, BlockId B,
   }
 }
 
+/// Rows composed per tile before one setTransferRows flush.
+constexpr size_t TileRows = 64;
+
+/// A thread's transfer staging, kept across refreshes so composing
+/// allocates nothing once the vectors have grown to the problem width.
+struct Staging {
+  BitVector GenS, KillS;
+  BitVector GenT[TileRows], KillT[TileRows];
+  uint32_t Rows[TileRows];
+};
+thread_local Staging TileStaging;
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -58,21 +70,12 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
                                     uint64_t ProblemGen,
                                     PackedLaneMatrix &Lanes,
                                     const std::vector<BlockId> &Order,
-                                    const std::vector<size_t> &OrderIndex) {
+                                    const std::vector<uint32_t> &RowOf) {
   AM_STAT_COUNTER(NumRecomposed, "dfa.transfers_recomputed");
   size_t Bits = P.numBits();
   bool Forward = P.direction() == Direction::Forward;
   size_t NumBlocks = G.numBlocks();
   size_t NumPos = Order.size();
-
-  // Maps a block to its packed row; unreachable blocks (order index 0
-  // without actually being Order[0]) map to npos.
-  auto PosOf = [&](BlockId B) -> size_t {
-    size_t Idx = OrderIndex[B];
-    if (Idx == 0 && (NumPos == 0 || Order[0] != B))
-      return size_t(-1);
-    return Idx;
-  };
 
   // A packed matrix cannot grow rows in place (the slice stride changes),
   // so any block-count change rebuilds everything; so does any structural
@@ -87,6 +90,42 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
                      Lanes.rows() == NumPos + 1 && Lanes.bits() == Bits &&
                      Flat.structAt() == G.structTick();
 
+  // Composes the blocks at rows Row(Begin) .. Row(End - 1) (ascending),
+  // staged TileRows at a time in the thread's TileStaging and flushed per
+  // tile so the packed scatter writes each group region in ascending
+  // bursts instead of one strided cache line per row (see
+  // setTransferRows).  Rows are disjoint per range and the problem's
+  // gen/kill are const reads, so ranges run on the pool.  A full rebuild
+  // reads the flat snapshot it just took; an incremental one reads the
+  // live graph, since the snapshot predates the edits.
+  auto ComposeRows = [&](size_t Begin, size_t End, auto &&Row) {
+    auto &[GenS, KillS, GenT, KillT, Rows] = TileStaging;
+    for (size_t TBase = Begin; TBase < End; TBase += TileRows) {
+      size_t TEnd = TBase + TileRows < End ? TBase + TileRows : End;
+      for (size_t I = TBase; I < TEnd; ++I) {
+        Rows[I - TBase] = Row(I);
+        BlockId B = Order[Rows[I - TBase]];
+        BitVector &Gen = GenT[I - TBase], &Kill = KillT[I - TBase];
+        if (!Incremental) {
+          FlatProgram::Span Sp = Flat.span(B);
+          composeInto(
+              P, Forward, B, Sp.End - Sp.Begin,
+              [&](size_t Idx) -> const Instr & {
+                return *Flat.slot(Sp.Begin + Idx).I;
+              },
+              Gen, Kill, GenS, KillS);
+        } else {
+          const auto &Instrs = G.block(B).Instrs;
+          composeInto(
+              P, Forward, B, Instrs.size(),
+              [&](size_t Idx) -> const Instr & { return Instrs[Idx]; }, Gen,
+              Kill, GenS, KillS);
+        }
+      }
+      Lanes.setTransferRows(Rows, TEnd - TBase, GenT, KillT);
+    }
+  };
+
   uint64_t Recomposed = 0;
   if (!Incremental) {
     Flat.build(G);
@@ -94,32 +133,11 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
     // One linear pass over the flat instruction stream, split into
     // contiguous *position* ranges across the pool (position I is block
     // Order[I]; unreachable blocks have no position and keep the dummy
-    // row's identity transfer).  Rows are disjoint per position and the
-    // problem's gen/kill are const reads, so the split is free of shared
-    // mutable state; scratch lives per range.  Composed transfers are
-    // staged 64 rows at a time and flushed per tile so the packed
-    // scatter writes each group region in contiguous bursts instead of
-    // one strided cache line per row (see setTransferTile).
-    threads::pool().parallelRanges(
-        NumPos, [&](size_t Begin, size_t End) {
-          constexpr size_t TileRows = 64;
-          BitVector GenS, KillS;
-          BitVector GenT[TileRows], KillT[TileRows];
-          for (size_t TBase = Begin; TBase < End; TBase += TileRows) {
-            size_t TEnd = TBase + TileRows < End ? TBase + TileRows : End;
-            for (size_t I = TBase; I < TEnd; ++I) {
-              BlockId B = Order[I];
-              FlatProgram::Span Sp = Flat.span(B);
-              composeInto(
-                  P, Forward, B, Sp.End - Sp.Begin,
-                  [&](size_t Idx) -> const Instr & {
-                    return *Flat.slot(Sp.Begin + Idx).I;
-                  },
-                  GenT[I - TBase], KillT[I - TBase], GenS, KillS);
-            }
-            Lanes.setTransferTile(TBase, TEnd - TBase, GenT, KillT);
-          }
-        });
+    // row's identity transfer).
+    threads::pool().parallelRanges(NumPos, [&](size_t Begin, size_t End) {
+      ComposeRows(Begin, End,
+                  [](size_t I) { return static_cast<uint32_t>(I); });
+    });
     // Retarget the CSR edge lists into position space.  Meet edges from
     // an unreachable neighbor read the dummy row; requeue edges into one
     // are dropped (evaluating the dummy is a no-op by construction).
@@ -131,33 +149,31 @@ bool MultiPatternTransfers::refresh(const FlowGraph &G,
       BlockId B = Order[I];
       FlatProgram::Edges ME = Forward ? Flat.preds(B) : Flat.succs(B);
       FlatProgram::Edges DE = Forward ? Flat.succs(B) : Flat.preds(B);
-      for (BlockId N : ME) {
-        size_t Pos = PosOf(N);
-        MeetPos.push_back(uint32_t(Pos == size_t(-1) ? NumPos : Pos));
-      }
-      for (BlockId N : DE) {
-        size_t Pos = PosOf(N);
-        if (Pos != size_t(-1))
-          DepPos.push_back(uint32_t(Pos));
-      }
+      for (BlockId N : ME)
+        MeetPos.push_back(RowOf[N]);
+      for (BlockId N : DE)
+        if (RowOf[N] != NumPos)
+          DepPos.push_back(RowOf[N]);
       MeetOff[I + 1] = uint32_t(MeetPos.size());
       DepOff[I + 1] = uint32_t(DepPos.size());
     }
   } else {
-    for (BlockId B = 0; B < NumBlocks; ++B) {
-      if (G.blockTick(B) > RefreshTick) {
-        size_t Row = PosOf(B);
-        if (Row == size_t(-1))
-          continue;
-        const auto &Instrs = G.block(B).Instrs;
-        composeInto(
-            P, Forward, B, Instrs.size(),
-            [&](size_t Idx) -> const Instr & { return Instrs[Idx]; }, GenAcc,
-            KillAcc, GenScratch, KillScratch);
-        Lanes.setTransfer(Row, GenAcc, KillAcc);
-        ++Recomposed;
-      }
-    }
+    // The tick-dirty reachable blocks, on the pool as in the full rebuild:
+    // after an AM round most blocks can be dirty.  A handful of dirty rows
+    // is not worth a pool round trip.
+    DirtyRows.clear();
+    for (BlockId B = 0; B < NumBlocks; ++B)
+      if (G.blockTick(B) > RefreshTick && RowOf[B] != NumPos)
+        DirtyRows.push_back(RowOf[B]);
+    std::sort(DirtyRows.begin(), DirtyRows.end());
+    auto Range = [&](size_t Begin, size_t End) {
+      ComposeRows(Begin, End, [&](size_t I) { return DirtyRows[I]; });
+    };
+    if (DirtyRows.size() >= 64)
+      threads::pool().parallelRanges(DirtyRows.size(), Range);
+    else
+      Range(0, DirtyRows.size());
+    Recomposed = DirtyRows.size();
   }
   AM_STAT_ADD(NumRecomposed, Recomposed);
 
@@ -182,8 +198,8 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
   const uint32_t *DepOff = Transfers.depOff();
   const uint32_t *DepPos = Transfers.depPos();
   uint64_t *Lane = LaneM.groupLanes(Gr);
-  uint64_t *Out = OutM.groupRow(Gr);
-  uint64_t *InP = InM.groupRow(Gr);
+  uint64_t *Out = Sol->Out.groupRow(Gr);
+  uint64_t *InP = Sol->In.groupRow(Gr);
   const size_t NumSlices = LaneM.slices();
   uint64_t InitW[GW], BoundaryW[GW];
   for (size_t W = 0; W < GW; ++W) {
@@ -242,25 +258,32 @@ uint64_t TransposedEngine::drainGroupImpl(size_t Gr, const SolveRequest &R,
     return Changed != 0;
   };
 
-  if (!R.Incremental) {
-    // First cycle as a straight sweep.  With every index pending, a ring
-    // drain pops in iteration order anyway, so this visits the same
-    // positions in the same order — but without a bit-scan pop per
-    // block, and pushing only dependents at or before the cursor (later
-    // ones are reached by the sweep itself and see the new value).  The
-    // per-group payoff: a group whose patterns converge in the sweep
-    // never pushes at all, so its ring drain below is empty.
-    for (size_t I = 0; I < NumPos; ++I) {
-      ++Processed;
-      if (Eval(I)) {
-        for (uint32_t D = DepOff[I], DE = DepOff[I + 1]; D != DE; ++D) {
-          size_t DepIdx = DepPos[D];
-          if (DepIdx <= I)
-            WL.push(DepIdx);
-        }
+  // First cycle as a straight sweep over the seeded positions — every
+  // position on a full solve, the dirty closure's (ascending) on an
+  // incremental one.  With every seed pending, a ring drain pops them in
+  // iteration order anyway, so this visits the same positions in the
+  // same order — but without a bit-scan pop per block, and pushing only
+  // dependents at or before the cursor (later ones are seeds too, since
+  // the closure is closed under dependents, and are reached by the sweep
+  // itself and see the new value).  The per-group payoff: a group whose
+  // patterns converge in the sweep never pushes at all, so its ring
+  // drain below is empty.
+  auto Visit = [&](size_t I) {
+    ++Processed;
+    if (Eval(I)) {
+      for (uint32_t D = DepOff[I], DE = DepOff[I + 1]; D != DE; ++D) {
+        size_t DepIdx = DepPos[D];
+        if (DepIdx <= I)
+          WL.push(DepIdx);
       }
     }
-  }
+  };
+  if (R.Incremental)
+    for (uint32_t I : Seeds)
+      Visit(I);
+  else
+    for (size_t I = 0; I < NumPos; ++I)
+      Visit(I);
 
   while (true) {
     size_t I = WL.pop();
@@ -279,23 +302,46 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   const FlowGraph &G = *R.G;
   const DataflowProblem &P = *R.P;
   size_t Bits = P.numBits();
-  size_t NumBlocks = G.numBlocks();
-
   size_t NumPos = R.Order->size();
-  size_t BoundaryPos = (*R.OrderIndex)[R.BoundaryBlock];
+  size_t BoundaryPos = (*R.RowOf)[R.BoundaryBlock];
 
+  // Copy-on-write: a result still reading the planes keeps them, and this
+  // solve writes fresh ones — a copy when it restarts from the previous
+  // solution, uninitialized planes otherwise.
+  if (!Sol || Sol.use_count() > 1) {
+    auto Fresh = std::make_shared<SolutionPlanes>();
+    if (Sol) {
+      AM_STAT_COUNTER(NumCloned, "dfa.planes_cloned");
+      AM_STAT_INC(NumCloned);
+      if (R.Incremental) {
+        Fresh->In.copyFrom(Sol->In);
+        Fresh->Out.copyFrom(Sol->Out);
+      }
+    }
+    Sol = std::move(Fresh);
+  }
+  // Rows are order positions plus the unreachable-block dummy.
+  if (Sol->In.rows() != NumPos + 1 || Sol->In.bits() != Bits) {
+    Sol->In.reshape(NumPos + 1, Bits);
+    Sol->Out.reshape(NumPos + 1, Bits);
+  }
   // Reshape before refreshing the transfers: a wiped lane matrix must
   // never pass the refresh's incremental check (its cached dimensions
   // would mismatch, forcing the full rebuild that repopulates gen/kill).
-  // Rows are order positions plus the unreachable-block dummy.
-  if (LaneM.rows() != NumPos + 1 || LaneM.bits() != Bits) {
+  if (LaneM.rows() != NumPos + 1 || LaneM.bits() != Bits)
     LaneM.reshape(NumPos + 1, Bits);
-    OutM.reshape(NumPos + 1, Bits);
-    InM.reshape(NumPos + 1, Bits);
-  }
   {
     AM_PROF_SCOPE("dfa.refresh");
-    Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.OrderIndex);
+    Transfers.refresh(G, P, R.ProblemGen, LaneM, *R.Order, *R.RowOf);
+  }
+  if (R.Incremental) {
+    SeedSet.clearAndResize(NumPos);
+    for (BlockId B : *R.Dirty)
+      if ((*R.RowOf)[B] != NumPos)
+        SeedSet.set((*R.RowOf)[B]);
+    Seeds.clear();
+    SeedSet.forEachSetBit(
+        [&](size_t Pos) { Seeds.push_back(static_cast<uint32_t>(Pos)); });
   }
 
   const size_t GW = LaneM.width();
@@ -322,36 +368,29 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
   auto RunGroup = [&](size_t Gr) {
     prof::OverrideScope Ov(Prof ? GroupProfs[Gr].get() : nullptr);
     AM_PROF_SCOPE("dfa.solve.slice");
-    uint64_t *InP = InM.groupRow(Gr);
-    uint64_t *Out = OutM.groupRow(Gr);
+    uint64_t *InP = Sol->In.groupRow(Gr);
+    uint64_t *Out = Sol->Out.groupRow(Gr);
     uint64_t InitW[PackedLaneMatrix::GroupWidth];
     for (size_t W = 0; W < GW; ++W)
       InitW[W] = R.MeetAll ? LaneM.sliceMask(Gr * GW + W) : 0;
-    WorklistRing &WL = GroupWork[Gr];
-    WL.reset(NumPos);
-    if (R.Incremental) {
-      for (BlockId B : *R.Dirty) {
-        size_t Pos = (*R.OrderIndex)[B];
-        if (Pos == 0 && (NumPos == 0 || (*R.Order)[0] != B))
-          continue; // unreachable: no packed row, and nothing reads it
-        for (size_t W = 0; W < GW; ++W) {
-          InP[Pos * GW + W] = InitW[W];
-          Out[Pos * GW + W] = InitW[W];
-        }
-        WL.push(Pos);
+    GroupWork[Gr].reset(NumPos);
+    // Seed rows restart from the initial value; drainGroupImpl sweeps
+    // them first and only requeues enter the ring.  On a full solve every
+    // row is a seed, and row NumPos, the dummy, is pinned at the initial
+    // value so meets from unreachable neighbors read the optimistic value
+    // a never-evaluated block holds.
+    auto Init = [&](size_t Row) {
+      for (size_t W = 0; W < GW; ++W) {
+        InP[Row * GW + W] = InitW[W];
+        Out[Row * GW + W] = InitW[W];
       }
-    } else {
-      // No seeding pushes: drainGroupImpl runs the first cycle as a
-      // straight sweep over the iteration order and only the back-edge
-      // requeues enter the ring.  Row NumPos is the dummy, pinned at the
-      // initial value so meets from unreachable neighbors read the
-      // optimistic value a never-evaluated block holds.
+    };
+    if (R.Incremental)
+      for (uint32_t Row : Seeds)
+        Init(Row);
+    else
       for (size_t Row = 0; Row <= NumPos; ++Row)
-        for (size_t W = 0; W < GW; ++W) {
-          InP[Row * GW + W] = InitW[W];
-          Out[Row * GW + W] = InitW[W];
-        }
-    }
+        Init(Row);
     // The meet operator and the lane width select the instantiation; the
     // direction is already folded into the position-space edge lists.
     constexpr size_t Wide = PackedLaneMatrix::GroupWidth;
@@ -376,67 +415,8 @@ uint64_t TransposedEngine::solve(const SolveRequest &R) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr)
       SessionProf.merge(*GroupProfs[Gr]);
 
-  SolBits = Bits;
-  SolRows = NumBlocks;
-  SolMeetAll = R.MeetAll;
-
   uint64_t Total = 0;
   for (uint64_t C : Processed)
     Total += C;
   return Total;
-}
-
-void TransposedEngine::exportSolution(const std::vector<BlockId> &Order,
-                                      std::vector<BitVector> &In,
-                                      std::vector<BitVector> &Out) const {
-  size_t NumPos = Order.size();
-  In.resize(SolRows);
-  Out.resize(SolRows);
-  for (size_t B = 0; B < SolRows; ++B) {
-    if (In[B].size() != SolBits)
-      In[B].clearAndResize(SolBits);
-    if (Out[B].size() != SolBits)
-      Out[B].clearAndResize(SolBits);
-  }
-  if (NumPos != SolRows) {
-    // Unreachable blocks have no packed row: they keep the optimistic
-    // initial value.
-    BitVector Init;
-    Init.clearAndResize(SolBits);
-    if (SolMeetAll)
-      Init.setAll();
-    std::vector<uint8_t> Mapped(SolRows, 0);
-    for (BlockId B : Order)
-      Mapped[B] = 1;
-    for (size_t B = 0; B < SolRows; ++B)
-      if (!Mapped[B]) {
-        In[B] = Init;
-        Out[B] = Init;
-      }
-  }
-  // Tiled transpose: a naive row-at-a-time gather strides the whole
-  // matrix once per row (rows * 8 bytes between consecutive reads).
-  // Walking 64-row tiles instead keeps each tile's group runs — 64
-  // contiguous lane triples per group — resident while every group
-  // visits them.  Row I belongs to block Order[I]; with the order close
-  // to layout order the scattered side stays nearly sequential too.
-  const size_t GW = LaneM.width();
-  const size_t Tile = 64;
-  const size_t NumSlices = LaneM.slices();
-  const size_t NumGroups = LaneM.groups();
-  for (size_t Base = 0; Base < NumPos; Base += Tile) {
-    size_t End = Base + Tile < NumPos ? Base + Tile : NumPos;
-    for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      const uint64_t *InP = InM.groupRow(Gr);
-      const uint64_t *OutP = OutM.groupRow(Gr);
-      size_t WEnd = NumSlices - Gr * GW < GW ? NumSlices - Gr * GW : GW;
-      for (size_t I = Base; I < End; ++I) {
-        BlockId B = Order[I];
-        for (size_t W = 0; W < WEnd; ++W) {
-          In[B].setWord(Gr * GW + W, InP[I * GW + W]);
-          Out[B].setWord(Gr * GW + W, OutP[I * GW + W]);
-        }
-      }
-    }
-  }
 }

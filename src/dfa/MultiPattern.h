@@ -43,6 +43,7 @@
 #include "support/BitVector.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace am {
@@ -161,26 +162,21 @@ public:
     return ~uint64_t(0);
   }
 
-  /// Scatters a composed transfer (width bits()) into row \p Row's gen
-  /// and kill lanes.  Dead tail words of a partial final group stay zero
-  /// (the identity transfer).
-  void setTransfer(size_t Row, const BitVector &Gen, const BitVector &Kill) {
-    setTransferTile(Row, 1, &Gen, &Kill);
-  }
-
-  /// Tile flush: writes \p N consecutive rows starting at \p Row0 from
-  /// the staged transfers Gen[0..N) / Kill[0..N).  One setTransfer per
-  /// row touches every group region (a cache-line-sized write per group,
-  /// strided megabytes apart on large programs — the full rebuild spends
-  /// its time waiting on that scatter); flushing a tile walks the groups
-  /// in the outer loop instead, so each group region receives one
-  /// contiguous N-row burst while the staged vectors stay resident.
-  void setTransferTile(size_t Row0, size_t N, const BitVector *Gen,
+  /// Tile flush: writes the \p N rows Rows[0..N) (ascending) from the
+  /// staged composed transfers Gen[0..N) / Kill[0..N) (width bits()).
+  /// Writing row by row touches every group region (a cache-line-sized
+  /// write per group, strided megabytes apart on large programs — a full
+  /// rebuild spends its time waiting on that scatter); flushing a tile
+  /// walks the groups in the outer loop instead, so each group region
+  /// receives one ascending N-row burst while the staged vectors stay
+  /// resident.  Dead tail words of a partial final group stay zero (the
+  /// identity transfer).
+  void setTransferRows(const uint32_t *Rows, size_t N, const BitVector *Gen,
                        const BitVector *Kill) {
     for (size_t Gr = 0; Gr < NumGroups; ++Gr) {
-      uint64_t *Base = groupLanes(Gr) + Row0 * 2 * Width;
+      uint64_t *Base = groupLanes(Gr);
       for (size_t R = 0; R < N; ++R) {
-        uint64_t *L = Base + R * 2 * Width;
+        uint64_t *L = Base + size_t(Rows[R]) * 2 * Width;
         for (size_t W = 0; W < Width; ++W) {
           size_t S = Gr * Width + W;
           L[W] = S < NumSlices ? Gen[R].word(S) : 0;
@@ -203,11 +199,12 @@ private:
 /// A group-major plane companion to PackedLaneMatrix: per (group, row)
 /// one lane width of contiguous words.  The engine keeps two — the dense
 /// out plane the meet side gathers from, and the in plane written once
-/// per evaluation and read back only by exportSolution.
+/// per evaluation — and results read both in place (DataflowResult).
 class PackedGroupPlane {
 public:
   void reshape(size_t Rows, size_t Bits) {
     NumRows = Rows;
+    NumBits = Bits;
     Width = PackedLaneMatrix::widthFor(Bits);
     size_t NumSlices = (Bits + 63) / 64;
     NumGroups = (NumSlices + Width - 1) / Width;
@@ -218,6 +215,17 @@ public:
       Data[I] = 0;
   }
 
+  /// Reshapes to \p Other's shape and copies its words.
+  void copyFrom(const PackedGroupPlane &Other) {
+    reshape(Other.NumRows, Other.NumBits);
+    for (size_t I = 0, E = NumRows * NumGroups * Width; I < E; ++I)
+      Data[I] = Other.Data[I];
+  }
+
+  size_t rows() const { return NumRows; }
+  size_t bits() const { return NumBits; }
+  size_t width() const { return Width; }
+
   uint64_t *groupRow(size_t Gr) { return Data + Gr * NumRows * Width; }
   const uint64_t *groupRow(size_t Gr) const {
     return Data + Gr * NumRows * Width;
@@ -227,17 +235,28 @@ private:
   support::Arena Mem;
   uint64_t *Data = nullptr;
   size_t NumRows = 0;
+  size_t NumBits = 0;
   size_t NumGroups = 0;
   size_t Width = 1;
+};
+
+/// The converged solution of one solve, keyed by iteration-order position
+/// (the last row is the unreachable-block dummy): In is the meet side,
+/// Out the transferred side.  Shared between the engine and the results
+/// that read it; the engine never writes planes a result still holds.
+class SolutionPlanes {
+public:
+  PackedGroupPlane In;
+  PackedGroupPlane Out;
 };
 
 /// Composed per-block gen/kill transfers stored as packed lanes,
 /// refreshed tick-incrementally.  A full rebuild walks an arena-backed
 /// FlatProgram snapshot (one linear pass over the whole instruction
 /// stream, parallelized over block ranges); an incremental refresh
-/// recomposes only tick-dirty blocks (`dfa.transfers_recomputed` counts
-/// recompositions, so a cache-friendly fixpoint shows it far below
-/// `dfa.blocks_processed`).
+/// recomposes only tick-dirty blocks, also on the pool
+/// (`dfa.transfers_recomputed` counts recompositions, so a
+/// cache-friendly fixpoint shows it far below `dfa.blocks_processed`).
 class MultiPatternTransfers {
 public:
   /// Brings the gen/kill lanes of \p Lanes (the engine's interleaved
@@ -247,11 +266,12 @@ public:
   /// non-dirty rows were not touched).
   ///
   /// Rows are keyed by *iteration-order position*, not BlockId: block
-  /// Order[I] owns row I, so the solver's seed sweep walks the lane
-  /// array strictly sequentially.  Unreachable blocks (absent from the
-  /// order) share the dummy row Order.size(), whose transfer stays the
-  /// identity and whose out word stays the optimistic initial value —
-  /// the value a never-evaluated neighbor holds.  A full
+  /// Order[I] owns row I = RowOf[Order[I]], so the solver's seed sweep
+  /// walks the lane array strictly sequentially.  Unreachable blocks
+  /// (absent from the order) map to the dummy row Order.size(), whose
+  /// transfer stays the identity and whose out word stays the
+  /// optimistic initial value — the value a never-evaluated neighbor
+  /// holds.  A full
   /// rebuild also retargets the CSR edge lists into position space
   /// (meetOff/meetPos, depOff/depPos), which is valid as long as the
   /// order is — both are functions of the graph structure and the
@@ -259,7 +279,7 @@ public:
   bool refresh(const FlowGraph &G, const DataflowProblem &P,
                uint64_t ProblemGen, PackedLaneMatrix &Lanes,
                const std::vector<BlockId> &Order,
-               const std::vector<size_t> &OrderIndex);
+               const std::vector<uint32_t> &RowOf);
 
   /// Forgets the cached graph identity (next refresh is a full rebuild)
   /// — required before binding to a different graph, whose address and
@@ -287,8 +307,7 @@ private:
   bool CachedForward = true;
   Tick RefreshTick = 0;
   bool Valid = false;
-  // Scratch for the serial (incremental) compose path.
-  BitVector GenAcc, KillAcc, GenScratch, KillScratch;
+  std::vector<uint32_t> DirtyRows; ///< Incremental refresh scratch.
 };
 
 /// The per-solver engine: packed transfers, the packed previous
@@ -302,7 +321,8 @@ public:
     const DataflowProblem *P = nullptr;
     uint64_t ProblemGen = 0;
     const std::vector<BlockId> *Order = nullptr;
-    const std::vector<size_t> *OrderIndex = nullptr;
+    /// Block -> order position, Order->size() for unreachable blocks.
+    const std::vector<uint32_t> *RowOf = nullptr;
     bool MeetAll = true;
     BlockId BoundaryBlock = 0;
     const BitVector *Boundary = nullptr;
@@ -318,12 +338,10 @@ public:
   /// advances one lane width of words of every pattern in the group).
   uint64_t solve(const SolveRequest &R);
 
-  /// Copies the converged packed solution into wide per-block vectors
-  /// (meet side → In, transferred side → Out), resizing as needed.
-  /// \p Order must be the iteration order of the last solve.
-  void exportSolution(const std::vector<BlockId> &Order,
-                      std::vector<BitVector> &In,
-                      std::vector<BitVector> &Out) const;
+  /// The planes of the last solve, for results to read in place.  The
+  /// engine's next solve writes fresh planes if any holder of these is
+  /// still alive (copy-on-write; counted as `dfa.planes_cloned`).
+  std::shared_ptr<const SolutionPlanes> planes() const { return Sol; }
 
   /// Forgets the packed transfers' graph identity — the cross-graph
   /// reset (see DataflowSolver::invalidate).
@@ -339,19 +357,16 @@ private:
   /// keyed by iteration-order position; the last row is the unreachable-
   /// block dummy.
   PackedLaneMatrix LaneM;
-  /// The transferred side — the words the meet gathers read.  Dense (one
-  /// lane-width run per row) so a group's whole meet-visible state stays
-  /// cache-resident across the fixpoint.
-  PackedGroupPlane OutM;
-  /// The meet side, written once per evaluation and read back only by
-  /// exportSolution — kept out of the hot loop's read set.
-  PackedGroupPlane InM;
+  /// The solution planes.  Out, the transferred side, holds the words
+  /// the meet gathers read: dense (one lane-width run per row) so a
+  /// group's whole meet-visible state stays cache-resident across the
+  /// fixpoint.  In, the meet side, is written once per evaluation and
+  /// kept out of the hot loop's read set.
+  std::shared_ptr<SolutionPlanes> Sol;
+  /// Closure positions of an incremental solve, ascending.
+  std::vector<uint32_t> Seeds;
+  BitVector SeedSet;
   std::vector<WorklistRing> GroupWork;
-
-  // Shape of the last solve, for exportSolution.
-  size_t SolBits = 0;
-  size_t SolRows = 0; ///< Block-space row count (the export size).
-  bool SolMeetAll = true;
 };
 
 } // namespace am

@@ -12,26 +12,61 @@ static size_t hashAssignPat(VarId Lhs, const Term &Rhs) {
   return hashTerm(Rhs) * 31u + index(Lhs);
 }
 
+/// Calls \p F(I) for every pattern occurrence of \p G, in (block-index,
+/// instruction-index) order.
+template <typename Fn> static void forEachOccurrence(const FlowGraph &G, Fn F) {
+  for (BlockId B = 0; B < G.numBlocks(); ++B)
+    for (const Instr &I : G.block(B).Instrs)
+      if (I.isAssign() && !I.Rhs.isVarAtom(I.Lhs))
+        F(I);
+}
+
 bool AssignPatternTable::build(const FlowGraph &G) {
-  // Keep the previous pattern list around so the caller can learn whether
-  // this rebuild changed the universe (and thus invalidated bit indices).
-  PrevPats.swap(Pats);
+  bool Renumbered = !rankSameSet(G);
+  if (Renumbered)
+    renumber(G);
+  buildVarSets(G);
+  return Renumbered;
+}
+
+/// Ranks the previous build's patterns by their first occurrence in \p G,
+/// looking each occurrence up in the previous build's own Index.  Returns
+/// false — leaving the ranks unspecified — as soon as an occurrence is
+/// not a previous pattern, or if some previous pattern no longer occurs.
+bool AssignPatternTable::rankSameSet(const FlowGraph &G) {
+  Rank.assign(Pats.size(), npos);
+  size_t Ranked = 0;
+  bool Known = true;
+  forEachOccurrence(G, [&](const Instr &I) {
+    if (!Known)
+      return;
+    size_t Idx = indexOf(I.Lhs, I.Rhs);
+    if (Idx == npos) {
+      Known = false;
+      return;
+    }
+    if (Rank[Idx] == npos)
+      Rank[Idx] = Ranked++;
+  });
+  return Known && Ranked == Pats.size();
+}
+
+/// Numbers the patterns of \p G in first-occurrence order.
+void AssignPatternTable::renumber(const FlowGraph &G) {
   Pats.clear();
   Index.clear();
+  forEachOccurrence(G, [&](const Instr &I) {
+    if (indexOf(I.Lhs, I.Rhs) != npos)
+      return;
+    Index.emplace(hashAssignPat(I.Lhs, I.Rhs), Pats.size());
+    Pats.push_back({I.Lhs, I.Rhs});
+  });
+  Rank.resize(Pats.size());
+  for (size_t Idx = 0; Idx < Pats.size(); ++Idx)
+    Rank[Idx] = Idx;
+}
 
-  // Collect patterns in deterministic first-occurrence order.
-  for (BlockId B = 0; B < G.numBlocks(); ++B) {
-    for (const Instr &I : G.block(B).Instrs) {
-      if (!I.isAssign() || I.Rhs.isVarAtom(I.Lhs))
-        continue;
-      if (indexOf(I.Lhs, I.Rhs) != npos)
-        continue;
-      size_t Idx = Pats.size();
-      Pats.push_back({I.Lhs, I.Rhs});
-      Index.emplace(hashAssignPat(I.Lhs, I.Rhs), Idx);
-    }
-  }
-
+void AssignPatternTable::buildVarSets(const FlowGraph &G) {
   // Per-variable pattern sets, reusing the vectors' existing storage.
   size_t NumVars = G.Vars.size();
   size_t NumPats = Pats.size();
@@ -58,8 +93,6 @@ bool AssignPatternTable::build(const FlowGraph &G) {
         TempInit[Idx] = true;
     }
   }
-
-  return Pats != PrevPats;
 }
 
 size_t AssignPatternTable::indexOf(VarId Lhs, const Term &Rhs) const {

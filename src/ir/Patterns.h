@@ -44,19 +44,43 @@ struct AssignPat {
 /// Dense index over the assignment patterns AP of one program snapshot.
 /// Rebuild after every transformation step; indices are only meaningful for
 /// the snapshot the table was built from.
+///
+/// Numbering is round-stable: a rebuild that finds exactly the previous
+/// build's pattern *set* keeps every index, even if the first-occurrence
+/// order moved, so facts keyed on the indices stay meaningful.  rank()
+/// gives each pattern's position in the current first-occurrence order —
+/// the index a fresh table would assign — for consumers whose output
+/// order must not depend on the table's history.
 class AssignPatternTable {
 public:
   static constexpr size_t npos = static_cast<size_t>(-1);
 
-  /// Collects every assignment pattern occurring in \p G, in deterministic
-  /// (block-index, instruction-index) first-occurrence order.  Returns
-  /// true if the pattern list differs from the previous build (callers
-  /// use this to decide whether bit indices — and thus any cached facts
-  /// keyed on them — are still meaningful).  Rebuilding reuses the
-  /// table's existing storage.
+  /// Collects every assignment pattern occurring in \p G.  A table with
+  /// no previous build (or after clear()) numbers them in deterministic
+  /// (block-index, instruction-index) first-occurrence order; a rebuild
+  /// whose pattern set equals the previous build's keeps the previous
+  /// indices and only updates the ranks, and any other rebuild renumbers
+  /// from scratch.  Returns true if the indices changed (callers use this
+  /// to decide whether bit indices — and thus any cached facts keyed on
+  /// them — are still meaningful).  Rebuilding reuses the table's
+  /// existing storage.
   bool build(const FlowGraph &G);
 
+  /// Forgets the previous build, so the next one numbers in
+  /// first-occurrence order whatever it finds.
+  void clear() {
+    Pats.clear();
+    Index.clear();
+    Rank.clear();
+  }
+
   size_t size() const { return Pats.size(); }
+
+  /// Position of pattern \p Idx in the current first-occurrence order.
+  size_t rank(size_t Idx) const {
+    assert(Idx < Rank.size() && "pattern index out of range");
+    return Rank[Idx];
+  }
 
   const AssignPat &pattern(size_t Idx) const {
     assert(Idx < Pats.size() && "pattern index out of range");
@@ -76,6 +100,14 @@ public:
   /// Sets \p Out to the patterns for which \p I is not ASS-TRANSP.
   void killedBy(const Instr &I, BitVector &Out) const;
 
+  /// The patterns whose left-hand side is \p V: a use or a modification
+  /// of V blocks them.
+  const BitVector &lhsPats(VarId V) const;
+
+  /// The patterns with \p V as a right-hand-side operand: a modification
+  /// of V blocks and kills them.
+  const BitVector &rhsUsePats(VarId V) const;
+
   /// Patterns `v := t` with v not an operand of t — the only patterns the
   /// redundancy analysis of Table 2 ranges over.
   const BitVector &redundancyEligible() const { return RedundancyOk; }
@@ -88,12 +120,12 @@ public:
   BitVector makeVector() const { return BitVector(Pats.size()); }
 
 private:
-  void notePatternVars(size_t Idx, const AssignPat &P);
-  const BitVector &lhsPats(VarId V) const;
-  const BitVector &rhsUsePats(VarId V) const;
+  bool rankSameSet(const FlowGraph &G);
+  void renumber(const FlowGraph &G);
+  void buildVarSets(const FlowGraph &G);
 
   std::vector<AssignPat> Pats;
-  std::vector<AssignPat> PrevPats; // previous build, for change detection
+  std::vector<size_t> Rank;                      // pattern idx -> rank
   std::unordered_multimap<size_t, size_t> Index; // hash -> pattern idx
   std::vector<BitVector> PatsWithLhs;            // var -> patterns with lhs var
   std::vector<BitVector> PatsUsingInRhs;         // var -> patterns using var in rhs

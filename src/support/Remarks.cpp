@@ -123,6 +123,15 @@ std::vector<Remark> Sink::remarks() const {
   return I.Remarks;
 }
 
+std::vector<Remark> Sink::remarksFrom(size_t First) const {
+  Impl &I = impl();
+  std::lock_guard<std::mutex> Lock(I.Mu);
+  if (First >= I.Remarks.size())
+    return {};
+  return std::vector<Remark>(
+      I.Remarks.begin() + static_cast<std::ptrdiff_t>(First), I.Remarks.end());
+}
+
 std::string Sink::toJsonString() const {
   std::vector<Remark> Rs = remarks();
   std::string Out;

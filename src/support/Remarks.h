@@ -169,6 +169,11 @@ public:
   /// Copy of the collected remarks, in emission order.
   std::vector<Remark> remarks() const;
 
+  /// Copy of the remarks from index \p First on (emission order): what a
+  /// stage added since it read size(), without copying the run's earlier
+  /// remarks.
+  std::vector<Remark> remarksFrom(size_t First) const;
+
   /// One JSON object: {"remarks": [{...}, ...]} — the `amopt
   /// --remarks=out.json` payload.
   std::string toJsonString() const;

@@ -15,6 +15,7 @@
 #include "verify/FaultInjector.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace am;
 
@@ -57,9 +58,14 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
   if (Filter)
     Allowed = Filter(Pats);
   auto IsAllowed = [&](size_t Pat) { return !Filter || Allowed.test(Pat); };
-  auto Restrict = [&](BitVector &V) {
-    if (Filter)
-      V &= Allowed;
+  // Appends the allowed patterns of one insertion word to a list.
+  auto AppendTo = [&](std::vector<size_t> &List) {
+    return [&](size_t W, uint64_t Bits) {
+      if (Filter)
+        Bits &= Allowed.word(W);
+      for (; Bits != 0; Bits &= Bits - 1)
+        List.push_back(W * 64 + static_cast<size_t>(std::countr_zero(Bits)));
+    };
   };
 
   // Phase 1: record all decisions against the frozen graph.
@@ -78,11 +84,19 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
     }
   };
   std::vector<BlockDecision> Decisions(G.numBlocks());
+  // Insertions are emitted in first-occurrence (rank) order, not index
+  // order: the table keeps its indices across rounds, and the output must
+  // not depend on that history.
+  auto ByRank = [&](size_t A, size_t B) { return Pats.rank(A) < Pats.rank(B); };
+  auto SortByRank = [&](std::vector<size_t> &List) {
+    std::sort(List.begin(), List.end(), ByRank);
+  };
 
   {
     AM_PROF_SCOPE("aht.decide");
-    // Universe-wide scratch, reused for every block.
-    BitVector Ins = Pats.makeVector(), Tmp = Pats.makeVector();
+    // Scratch, reused for every block.
+    BitVector Tmp = Pats.makeVector();
+    std::vector<size_t> ExitIns;
     // Position of the first instruction of the current block that defines
     // / uses each variable (npos: none yet).  `x := t` is blocked before
     // instruction Idx iff x or an operand of t was defined, or x was used,
@@ -95,13 +109,12 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
       const BasicBlock &BB = G.block(B);
       BlockDecision &D = Decisions[B];
 
-      Hoist.entryInsert(B, Ins);
-      Restrict(Ins);
+      Hoist.forEachEntryInsertWord(B, AppendTo(D.AtEntry));
       // Footnote 6: after edge splitting there are never entry insertions
       // at join nodes.
-      assert((Ins.none() || BB.Preds.size() <= 1 || B == G.start()) &&
+      assert((D.AtEntry.empty() || BB.Preds.size() <= 1 || B == G.start()) &&
              "unexpected entry insertion at a join node");
-      Ins.forEachSetBit([&](size_t Pat) { D.AtEntry.push_back(Pat); });
+      SortByRank(D.AtEntry);
 
       // Hoisting candidates: occurrences not preceded by a blocker within
       // their block.  The cached LOC-HOISTABLE predicate tells us whether
@@ -167,21 +180,22 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
       }
 
       // Exit insertions.
-      Hoist.exitInsert(B, Ins);
-      Restrict(Ins);
-      if (Ins.none())
-        continue;
       const Instr *Br = BB.branchInstr();
       if (!Br) {
-        Ins.forEachSetBit([&](size_t Pat) { D.AtEnd.push_back(Pat); });
+        Hoist.forEachExitInsertWord(B, AppendTo(D.AtEnd));
+        SortByRank(D.AtEnd);
         continue;
       }
+      ExitIns.clear();
+      Hoist.forEachExitInsertWord(B, AppendTo(ExitIns));
+      if (ExitIns.empty())
+        continue;
       BitVector &BranchBlocks = Tmp;
       Pats.blockedBy(*Br, BranchBlocks);
-      Ins.forEachSetBit([&](size_t Pat) {
+      for (size_t Pat : ExitIns) {
         if (!BranchBlocks.test(Pat)) {
           D.BeforeBranch.push_back(Pat);
-          return;
+          continue;
         }
         // The branch condition itself blocks the pattern: place the
         // insertion after the condition, i.e. at the entry of every
@@ -191,8 +205,15 @@ bool am::runAssignmentHoisting(FlowGraph &G, AmContext &Ctx,
                  "successor of a branching block must have a unique pred");
           Decisions[S].FromPreds.push_back({Pat, B});
         }
-      });
+      }
+      SortByRank(D.BeforeBranch);
     }
+    // Each block's FromPreds came from its unique predecessor.
+    for (BlockDecision &D : Decisions)
+      std::sort(D.FromPreds.begin(), D.FromPreds.end(),
+                [&](const auto &A, const auto &B) {
+                  return ByRank(A.first, B.first);
+                });
   }
 
   // Phase 2: rebuild the instruction lists.

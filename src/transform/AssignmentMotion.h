@@ -28,8 +28,12 @@ namespace am {
 ///
 ///  * one AssignPatternTable, rebuilt (arena-reusing) only when the graph
 ///    tick moved, with a generation number that advances only when the
-///    rebuilt *contents* differ — unchanged contents keep every
-///    tick-stamped solver cache valid;
+///    rebuild renumbered the patterns.  rae deletes an occurrence only
+///    where an earlier one of the same pattern reaches it, and aht
+///    re-inserts every pattern it removes, so the pattern *set* is stable
+///    across rounds and the table keeps its indices (AssignPatternTable
+///    ::build): every tick-stamped solver cache stays valid, and output
+///    whose order depends on patterns follows AssignPatternTable::rank;
 ///  * one DataflowSolver per analysis (redundancy, hoistability), whose
 ///    transfer caches and previous solutions persist across rounds;
 ///  * the hoistability analysis' block-local predicate cache.
@@ -51,8 +55,9 @@ public:
   HoistLocalPredicates &hoistLocals() { return HoistLocals; }
 
   /// Detaches the context from its graph so it may be bound to another
-  /// one: every graph-identity-keyed cache (pattern tick, solver
-  /// solutions/transfers/orders, block-local predicates) is dropped —
+  /// one: every graph-identity-keyed cache (pattern tick and numbering,
+  /// solver solutions/transfers/orders, block-local predicates) is
+  /// dropped, so a new graph starts from first-occurrence order —
   /// a different graph's address and ticks could otherwise alias a
   /// stale cache — while arenas, scratch capacity and the pattern
   /// generation counter survive.  This is what lets a long-lived
@@ -61,6 +66,7 @@ public:
   void reset() {
     PatsValid = false;
     PatsTick = 0;
+    Pats.clear();
     RedundancySolver.invalidate();
     HoistSolver.invalidate();
     HoistLocals.invalidate();

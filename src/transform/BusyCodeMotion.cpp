@@ -61,7 +61,7 @@ FlowGraph am::runBusyCodeMotion(const FlowGraph &G) {
     for (BlockId B : Order) {
       BitVector NewIn(Bits, true);
       if (B == Work.start()) {
-        NewIn = Lcm.antIn(B);
+        Lcm.antIn(B).copyTo(NewIn);
       } else {
         for (const auto &[M, SuccIdx] : InEdges[B]) {
           BitVector Edge = Lcm.earliest(M, SuccIdx);
@@ -83,7 +83,7 @@ FlowGraph am::runBusyCodeMotion(const FlowGraph &G) {
   // Record insertions: the earliest edges, plus the entry of s.
   std::vector<std::vector<size_t>> AtEnd(Work.numBlocks());
   std::vector<std::vector<size_t>> AtEntry(Work.numBlocks());
-  AtEntry[Work.start()] = Lcm.antIn(Work.start()).setBits();
+  AtEntry[Work.start()] = Lcm.antIn(Work.start()).toBitVector().setBits();
   for (BlockId B = 0; B < Work.numBlocks(); ++B) {
     const auto &Succs = Work.block(B).Succs;
     for (size_t SuccIdx = 0; SuccIdx < Succs.size(); ++SuccIdx) {

@@ -102,10 +102,10 @@ bool am::runAssignmentSinking(FlowGraph &G) {
     }
 
     // X-LATEST = X-DELAY* · ∃succ ¬N-DELAY*, guarded by liveness at exit.
-    BitVector AtExit = Delay.exit(B);
+    BitVector AtExit = Delay.exit(B).toBitVector();
     BitVector AnySuccStops(Pats.size());
     for (BlockId S : G.block(B).Succs) {
-      BitVector NotDelay = Delay.entry(S);
+      BitVector NotDelay = Delay.entry(S).toBitVector();
       NotDelay.flipAll();
       AnySuccStops |= NotDelay;
     }

@@ -14,6 +14,8 @@
 #include "transform/AssignmentMotion.h"
 #include "verify/FaultInjector.h"
 
+#include <algorithm>
+
 using namespace am;
 
 namespace {
@@ -57,12 +59,21 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
   if (report::RecorderSession *Rec = report::RecorderSession::current())
     Rec->captureRedundancy(G, Pats, Redundancy, Rec->round());
 
-  // Record all decisions first, then mutate.
+  // Record all decisions first, then mutate.  N-REDUNDANT is decided per
+  // occurrence, never replayed across the universe: within a block, the
+  // Table 2 transfer X = EXECUTED + ASS-TRANSP · N leaves pattern p set
+  // before instruction Idx iff its last earlier eligible occurrence is at
+  // or after the last earlier modification of p's left-hand side or
+  // operands (an occurrence kills and generates p at once, and the
+  // generation wins), or — with neither earlier in the block — iff p
+  // holds at the block entry.  Positions are stored one-based, 0 = none.
   AM_PROF_SCOPE("rae.rewrite");
   unsigned NumEliminated = 0;
   std::vector<bool> Remove;
   std::vector<size_t> Occurrence;
-  FactWalk Walk;
+  std::vector<size_t> LastDef(G.Vars.size(), 0);
+  std::vector<size_t> LastOcc(Pats.size(), 0);
+  const BitVector &Eligible = Pats.redundancyEligible();
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     auto &Instrs = G.block(B).Instrs;
     // N-REDUNDANT is only needed where an occurrence could actually be
@@ -77,19 +88,31 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
       continue;
     Remove.assign(Instrs.size(), false);
     unsigned RemovedHere = 0;
-    Redundancy.walk(B, Walk, [&](size_t Idx, const BitVector &Before,
-                                 const BitVector &) {
+    FactRow Entry = Redundancy.entry(B);
+    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
       size_t Pat = Occurrence[Idx];
-      if (Pat == AssignPatternTable::npos)
-        return;
-      bool Redundant = Before.test(Pat);
+      VarId Def = Instrs[Idx].definedVar();
+      if (Pat == AssignPatternTable::npos) {
+        if (isValid(Def))
+          LastDef[index(Def)] = Idx + 1;
+        continue;
+      }
+      const AssignPat &P = Pats.pattern(Pat);
+      size_t Kill = LastDef[index(P.Lhs)];
+      P.Rhs.forEachVar(
+          [&](VarId V) { Kill = std::max(Kill, LastDef[index(V)]); });
+      size_t Gen = LastOcc[Pat];
+      bool Redundant = Gen != 0 ? Gen >= Kill : Kill == 0 && Entry.test(Pat);
+      if (Eligible.test(Pat))
+        LastOcc[Pat] = Idx + 1;
+      LastDef[index(Def)] = Idx + 1;
       if (!Redundant)
         if (fault::FaultInjector *FI = fault::FaultInjector::current())
           // rae-flip: treat one non-redundant occurrence as redundant, as
           // if a N-REDUNDANT dataflow bit were flipped.
           Redundant = FI->fire(fault::FaultClass::RaeFlipBit);
       if (!Redundant)
-        return;
+        continue;
       Remove[Idx] = true;
       ++RemovedHere;
       if (AM_REMARKS_ENABLED()) {
@@ -110,7 +133,13 @@ unsigned am::runRedundantAssignmentElimination(FlowGraph &G, AmContext &Ctx) {
                   describeDefiner(G, B, Idx, Pat, Pats, Redundancy));
         remarks::Sink::get().add(std::move(R));
       }
-    });
+    }
+    for (size_t Idx = 0; Idx < Instrs.size(); ++Idx) {
+      if (Occurrence[Idx] != AssignPatternTable::npos)
+        LastOcc[Occurrence[Idx]] = 0;
+      if (isValid(Instrs[Idx].definedVar()))
+        LastDef[index(Instrs[Idx].definedVar())] = 0;
+    }
     if (RemovedHere == 0)
       continue;
     NumEliminated += RemovedHere;

@@ -126,10 +126,9 @@ public:
   /// sink size against \p Before (pre-stage) and \p After (post-stage).
   void checkStage(const char *Stage, size_t FirstRemark,
                   const FlowGraph &Before, const FlowGraph &After) {
-    std::vector<Remark> All = Sink::get().remarks();
     StageFacts Facts(Before);
-    for (size_t Idx = FirstRemark; Idx < All.size(); ++Idx)
-      checkRemark(Stage, All[Idx], Facts, Before, After);
+    for (const Remark &R : Sink::get().remarksFrom(FirstRemark))
+      checkRemark(Stage, R, Facts, Before, After);
   }
 
 private:

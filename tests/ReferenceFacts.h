@@ -51,7 +51,7 @@ inline DenseFacts referenceFacts(const FlowGraph &G, const DataflowResult &R,
   F.After.resize(N);
   BitVector Gen(P.numBits()), Kill(P.numBits());
   if (P.direction() == Direction::Forward) {
-    BitVector Cur = R.entry(B);
+    BitVector Cur = R.entry(B).toBitVector();
     for (size_t Idx = 0; Idx < N; ++Idx) {
       F.Before[Idx] = Cur;
       P.gen(B, Idx, Instrs[Idx], Gen);
@@ -61,7 +61,7 @@ inline DenseFacts referenceFacts(const FlowGraph &G, const DataflowResult &R,
       F.After[Idx] = Cur;
     }
   } else {
-    BitVector Cur = R.exit(B);
+    BitVector Cur = R.exit(B).toBitVector();
     for (size_t Idx = N; Idx-- > 0;) {
       F.After[Idx] = Cur;
       P.gen(B, Idx, Instrs[Idx], Gen);
@@ -131,15 +131,15 @@ inline DensePlan referencePlan(const FlowGraph &G, const FlushAnalysis &A,
     Plan.Reconstruct.push_back(Used & NLatest & ~XUsable);
   }
   // X-LATEST = X-DELAYABLE* · ∃succ ¬N-DELAYABLE*, guarded by X-USABLE.
-  Plan.InitAtExit = A.delayability().exit(B);
+  Plan.InitAtExit = A.delayability().exit(B).toBitVector();
   BitVector AnySuccStops = U.makeVector();
   for (BlockId S : G.block(B).Succs) {
-    BitVector NotDelay = A.delayability().entry(S);
+    BitVector NotDelay = A.delayability().entry(S).toBitVector();
     NotDelay.flipAll();
     AnySuccStops |= NotDelay;
   }
   Plan.InitAtExit &= AnySuccStops;
-  Plan.InitAtExit &= A.usability().exit(B);
+  Plan.InitAtExit &= A.usability().exit(B).toBitVector();
   return Plan;
 }
 

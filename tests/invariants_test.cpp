@@ -53,13 +53,15 @@ TEST_P(InvariantSweep, HoistabilityInsertionsAreWithinTheFacts) {
       continue;
     HoistabilityAnalysis H = HoistabilityAnalysis::run(G, Pats);
     for (BlockId B = 0; B < G.numBlocks(); ++B) {
-      EXPECT_TRUE(H.entryInsert(B).isSubsetOf(H.entryHoistable(B)))
+      EXPECT_TRUE(
+          H.entryInsert(B).isSubsetOf(H.entryHoistable(B).toBitVector()))
           << "N-INSERT ⊄ N-HOISTABLE at block " << B;
-      EXPECT_TRUE(H.exitInsert(B).isSubsetOf(H.exitHoistable(B)))
+      EXPECT_TRUE(H.exitInsert(B).isSubsetOf(H.exitHoistable(B).toBitVector()))
           << "X-INSERT ⊄ X-HOISTABLE at block " << B;
       EXPECT_TRUE(H.exitInsert(B).isSubsetOf(H.locBlocked(B)))
           << "X-INSERT ⊄ LOC-BLOCKED at block " << B;
-      EXPECT_TRUE(H.locHoistable(B).isSubsetOf(H.entryHoistable(B)))
+      EXPECT_TRUE(
+          H.locHoistable(B).isSubsetOf(H.entryHoistable(B).toBitVector()))
           << "a candidate must be hoistable to its own entry, block " << B;
       // Footnote 6: no entry insertions at join nodes.
       if (G.block(B).Preds.size() > 1) {
@@ -81,8 +83,9 @@ TEST_P(InvariantSweep, RedundancyOnlyMentionsEligiblePatterns) {
       continue;
     RedundancyAnalysis Red = RedundancyAnalysis::run(G, Pats);
     for (BlockId B = 0; B < G.numBlocks(); ++B) {
-      EXPECT_TRUE(Red.entry(B).isSubsetOf(Pats.redundancyEligible()));
-      EXPECT_TRUE(Red.exit(B).isSubsetOf(Pats.redundancyEligible()));
+      const BitVector &Eligible = Pats.redundancyEligible();
+      EXPECT_TRUE(Red.entry(B).toBitVector().isSubsetOf(Eligible));
+      EXPECT_TRUE(Red.exit(B).toBitVector().isSubsetOf(Eligible));
     }
     // Nothing is redundant at the start node's entry.
     EXPECT_TRUE(Red.entry(G.start()).none());
@@ -120,10 +123,12 @@ TEST_P(InvariantSweep, LcmInsertionsRespectAnticipabilityAndLocality) {
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     for (size_t SuccIdx = 0; SuccIdx < G.block(B).Succs.size(); ++SuccIdx) {
       BlockId Target = G.block(B).Succs[SuccIdx];
-      EXPECT_TRUE(L.insertOnEdge(B, SuccIdx).isSubsetOf(L.antIn(Target)))
+      EXPECT_TRUE(L.insertOnEdge(B, SuccIdx)
+                      .isSubsetOf(L.antIn(Target).toBitVector()))
           << "insertion of a non-anticipated expression on edge " << B
           << "->" << Target << " (unsafe speculation)";
-      EXPECT_TRUE(L.earliest(B, SuccIdx).isSubsetOf(L.antIn(Target)));
+      EXPECT_TRUE(
+          L.earliest(B, SuccIdx).isSubsetOf(L.antIn(Target).toBitVector()));
     }
     EXPECT_TRUE(L.deleteIn(B).isSubsetOf(L.antloc(B)))
         << "deleting a computation that is not locally anticipated";

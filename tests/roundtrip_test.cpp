@@ -50,17 +50,18 @@ void expectSolutionConsistent(const FlowGraph &G, const DataflowProblem &P,
 
   for (BlockId B = 0; B < G.numBlocks(); ++B) {
     // Meet consistency.
-    const BitVector &MeetSide = Forward ? R.entry(B) : R.exit(B);
+    BitVector MeetSide = (Forward ? R.entry(B) : R.exit(B)).toBitVector();
     BlockId BoundaryBlock = Forward ? G.start() : G.end();
     if (B == BoundaryBlock) {
       EXPECT_EQ(MeetSide, Boundary) << "boundary at block " << B;
     } else {
       const auto &Edges = Forward ? G.block(B).Preds : G.block(B).Succs;
       ASSERT_FALSE(Edges.empty());
-      BitVector Expect = Forward ? R.exit(Edges[0]) : R.entry(Edges[0]);
+      BitVector Expect =
+          (Forward ? R.exit(Edges[0]) : R.entry(Edges[0])).toBitVector();
       for (size_t Idx = 1; Idx < Edges.size(); ++Idx) {
-        const BitVector &V =
-            Forward ? R.exit(Edges[Idx]) : R.entry(Edges[Idx]);
+        BitVector V =
+            (Forward ? R.exit(Edges[Idx]) : R.entry(Edges[Idx])).toBitVector();
         if (P.meet() == Meet::All)
           Expect &= V;
         else
